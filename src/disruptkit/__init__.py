@@ -33,10 +33,11 @@ from .ensembles import (
 from .errors import (
     ConfigError,
     DegenerateEmbeddingError,
+    InvariantError,
     LineageError,
     ShapeError,
 )
-from .harness import EvaluationReport, emit_reports, run_experiment, run_scenario
+from .harness import EvaluationReport, emit_reports, run_experiment
 from .metrics import (
     SurrogateEmbedder,
     aggregate_dsr,
@@ -59,6 +60,7 @@ __all__ = [
     "EvaluationReport",
     "ExperimentConfig",
     "ImageAttackObjective",
+    "InvariantError",
     "LatentAttackObjective",
     "LineageError",
     "MetricThresholds",
@@ -93,7 +95,6 @@ __all__ = [
     "recording",
     "run_attack",
     "run_experiment",
-    "run_scenario",
     "sample_attribute_set",
     "separation_statistic",
     "write_pnm",

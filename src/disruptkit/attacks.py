@@ -1,7 +1,8 @@
 """Sign-gradient perturbation search under an L-infinity budget.
 
-One-step (fgsm) and iterative (run_attack) variants. The iterate keeps three
-invariants at every iteration boundary:
+run_attack is the one attack loop; the one-step (FGSM) attack is run_attack
+with iterations=1. The iterate keeps three invariants at every iteration
+boundary, checked explicitly so they also hold under ``python -O``:
 
 - X_t == X + eta, bitwise,
 - every X_t value within [0, 1],
@@ -21,7 +22,7 @@ the ensemble strategy; the loop itself knows nothing about models.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,18 +31,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .ensembles import EnsembleStrategy, PerModelGradient, aggregate
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, InvariantError, ShapeError
 from .objectives import Objective
 from .zoo import TwoStageModel
 
 __all__ = [
     "AttackConfig",
     "AttackState",
-    "project_budget",
-    "fgsm",
     "run_attack",
     "build_gradient_provider",
-    "timed_attack",
     "GradientProvider",
 ]
 
@@ -61,10 +59,10 @@ class AttackConfig:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.step_a <= 0:
-            raise ConfigError(f"step_a must be > 0, got {self.step_a}")
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not math.isfinite(self.step_a) or self.step_a <= 0:
+            raise ConfigError(f"step_a must be finite and > 0, got {self.step_a}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -82,16 +80,6 @@ class AttackState:
     x_t: Tensor
     eta: Tensor
     t: int
-
-
-def project_budget(X: Tensor, X_candidate: Tensor, epsilon: float) -> Tensor:
-    """Clamp a candidate image to [X-eps, X+eps], then to [0, 1]."""
-    if X.shape != X_candidate.shape:
-        raise ShapeError(f"candidate shape {X_candidate.shape} != source shape {X.shape}")
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    ball = np.clip(X_candidate.data, X.data - epsilon, X.data + epsilon)
-    return Tensor._wrap(np.clip(ball, 0.0, 1.0))
 
 
 def _settle_pixels(x_arr: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,28 +100,6 @@ def _settle_pixels(x_arr: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.n
     raise FloatingPointError("pixel-range projection did not reach a fixed point")
 
 
-def _check_source_image(X: Tensor) -> None:
-    if np.any(X.data < 0.0) or np.any(X.data > 1.0):
-        raise ConfigError("source image must have values in [0,1]")
-
-
-def fgsm(objective: Callable[[Tensor], Tensor], X: Tensor, config: AttackConfig) -> Tensor:
-    """One signed-gradient step: eta = epsilon * sign(grad), budget-projected.
-
-    ``objective`` maps a taped perturbed image to a scalar loss. Coordinates
-    with nonzero gradient that stay pixel-feasible carry exactly +/-epsilon.
-    """
-    _check_source_image(X)
-    tape = Tape()
-    tape.watch(X)
-    with ad.recording(tape):
-        loss = objective(X)
-    g = ad.backward(loss, X)
-    eta = config.epsilon * np.sign(g.data)
-    _, eta = _settle_pixels(X.data, eta)
-    return Tensor._wrap(eta)
-
-
 def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig,
                *, init_eta: Tensor | None = None,
                on_step: Callable[[AttackState], None] | None = None) -> Tensor:
@@ -146,7 +112,8 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
     exclusive with random_init); an already-valid state is resumed verbatim
     so split runs reproduce one long run bit-for-bit.
     """
-    _check_source_image(X)
+    if np.any(X.data < 0.0) or np.any(X.data > 1.0):
+        raise ConfigError("source image must have values in [0,1]")
     eps = config.epsilon
     x_arr = X.data
     if init_eta is not None:
@@ -174,9 +141,13 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
             raise ShapeError(f"gradient provider returned shape {g.shape}, expected {X.shape}")
         eta = np.clip(eta + config.step_a * np.sign(g.data), -eps, eps)
         x_t, eta = _settle_pixels(x_arr, eta)
-        assert np.array_equal(x_t, x_arr + eta)
-        assert np.max(np.abs(eta)) <= eps + BUDGET_SLACK
-        assert np.all(x_t >= 0.0) and np.all(x_t <= 1.0)
+        if not np.max(np.abs(eta)) <= eps + BUDGET_SLACK:
+            raise InvariantError(
+                f"iteration {t}: max |eta| = {np.max(np.abs(eta))} exceeds epsilon {eps}")
+        if not (np.all(x_t >= 0.0) and np.all(x_t <= 1.0)):
+            raise InvariantError(f"iteration {t}: X + eta left the pixel range [0, 1]")
+        if not np.array_equal(x_t, x_arr + eta):
+            raise InvariantError(f"iteration {t}: x_t is not bitwise X + eta")
         if on_step is not None:
             on_step(AttackState(X=X, x_t=Tensor._wrap(x_t), eta=Tensor._wrap(eta), t=t))
     return Tensor._wrap(eta)
@@ -208,11 +179,3 @@ def build_gradient_provider(models: Sequence[TwoStageModel], objective: Objectiv
         return aggregate(strategy, per_model)
 
     return provider
-
-
-def timed_attack(objective_grad: GradientProvider, X: Tensor,
-                 config: AttackConfig) -> tuple[Tensor, float]:
-    """run_attack plus its wall time on a monotonic clock."""
-    start = time.perf_counter()
-    eta = run_attack(objective_grad, X, config)
-    return eta, time.perf_counter() - start

@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,9 +43,6 @@ __all__ = [
     "mse_loss",
     "backward",
     "finite_difference_gradient",
-    "sign",
-    "l2_norm",
-    "clip_range",
 ]
 
 ACTIVATION_KINDS = ("tanh", "relu", "sigmoid")
@@ -103,10 +100,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def zeros(shape: Sequence[int]) -> Tensor:
-    return Tensor._wrap(np.zeros(tuple(shape), dtype=np.float64))
-
-
 def zeros_like(t: Tensor) -> Tensor:
     return Tensor._wrap(np.zeros(t.shape, dtype=np.float64))
 
@@ -116,7 +109,6 @@ class _Record:
     op: str
     inputs: tuple[Tensor, ...]
     output: Tensor
-    forward_fn: Callable[..., np.ndarray]
     vjp_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]]
 
 
@@ -146,34 +138,12 @@ class Tape:
         self._watched.append(t)
         return t
 
-    def knows(self, t: Tensor) -> bool:
-        return id(t) in self._known
-
-    def _record(self, op, inputs, output, forward_fn, vjp_fn):
-        self._records.append(_Record(op, tuple(inputs), output, forward_fn, vjp_fn))
+    def _record(self, op, inputs, output, vjp_fn):
+        self._records.append(_Record(op, tuple(inputs), output, vjp_fn))
         for t in inputs:
             self._known.add(id(t))
         self._known.add(id(output))
         output._tape = self
-
-    def activate(self):
-        """Context manager making this tape the recording target in this thread."""
-        return recording(self)
-
-    def replay(self) -> list[np.ndarray]:
-        """Re-run every recorded op, propagating recomputed values forward.
-
-        Returns the replayed output array per record; each must equal the
-        recorded output bitwise for the tape to be a faithful trace.
-        """
-        values: dict[int, np.ndarray] = {}
-        out = []
-        for rec in self._records:
-            ins = [values.get(id(t), t.data) for t in rec.inputs]
-            arr = np.asarray(rec.forward_fn(*ins), dtype=np.float64)
-            values[id(rec.output)] = arr
-            out.append(arr)
-        return out
 
     def gradient(self, loss: Tensor, wrt: Tensor) -> Tensor:
         if loss.size != 1:
@@ -234,11 +204,11 @@ def stop_recording():
         s.pop()
 
 
-def _emit(op, inputs, out_arr, forward_fn, vjp_fn) -> Tensor:
+def _emit(op, inputs, out_arr, vjp_fn) -> Tensor:
     out = Tensor._wrap(out_arr)
     tape = active_tape()
     if tape is not None:
-        tape._record(op, inputs, out, forward_fn, vjp_fn)
+        tape._record(op, inputs, out, vjp_fn)
     return out
 
 
@@ -275,10 +245,7 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         gb = g2.sum(axis=0)
         return gx, gw, gb
 
-    def fwd_shaped(x, wv, bv):
-        return (x.reshape(-1, n_in) @ wv.T + bv).reshape(out_shape)
-
-    return _emit("affine", (input, weights, bias), y, fwd_shaped, vjp)
+    return _emit("affine", (input, weights, bias), y, vjp)
 
 
 def activation(input: Tensor, kind: str) -> Tensor:
@@ -292,21 +259,18 @@ def activation(input: Tensor, kind: str) -> Tensor:
     x = input.data
     if kind == "tanh":
         y = np.tanh(x)
-        fwd = np.tanh
         def vjp(g, y=y):
             return (g * (1.0 - y * y),)
     elif kind == "relu":
         y = np.maximum(x, 0.0)
-        fwd = lambda a: np.maximum(a, 0.0)
         mask = x > 0.0
         def vjp(g, mask=mask):
             return (g * mask,)
     else:
         y = _stable_sigmoid(x)
-        fwd = _stable_sigmoid
         def vjp(g, y=y):
             return (g * y * (1.0 - y),)
-    return _emit(kind, (input,), y, fwd, vjp)
+    return _emit(kind, (input,), y, vjp)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -339,8 +303,7 @@ def reshape(input: Tensor, shape: Sequence[int]) -> Tensor:
     def vjp(g):
         return (g.reshape(old_shape),)
 
-    return _emit("reshape", (input,), input.data.reshape(shape),
-                 lambda x: x.reshape(shape), vjp)
+    return _emit("reshape", (input,), input.data.reshape(shape), vjp)
 
 
 def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -354,8 +317,7 @@ def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _emit("concat", tuple(parts), y,
-                 lambda *xs: np.concatenate(xs, axis=axis), vjp)
+    return _emit("concat", tuple(parts), y, vjp)
 
 
 def mean(input: Tensor) -> Tensor:
@@ -367,8 +329,7 @@ def mean(input: Tensor) -> Tensor:
         gs = float(np.asarray(g).reshape(()))
         return (np.full(shape, gs / n, dtype=np.float64),)
 
-    return _emit("mean", (input,), np.mean(input.data),
-                 lambda x: np.mean(x), vjp)
+    return _emit("mean", (input,), np.mean(input.data), vjp)
 
 
 def squared_difference(a: Tensor, b: Tensor) -> Tensor:
@@ -380,7 +341,7 @@ def squared_difference(a: Tensor, b: Tensor) -> Tensor:
         gd = 2.0 * d * g
         return gd, -gd
 
-    return _emit("sqdiff", (a, b), d * d, lambda x, y: (x - y) ** 2, vjp)
+    return _emit("sqdiff", (a, b), d * d, vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -390,7 +351,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return g, g
 
-    return _emit("add", (a, b), a.data + b.data, lambda x, y: x + y, vjp)
+    return _emit("add", (a, b), a.data + b.data, vjp)
 
 
 def scale(input: Tensor, factor: float) -> Tensor:
@@ -399,7 +360,7 @@ def scale(input: Tensor, factor: float) -> Tensor:
     def vjp(g):
         return (c * g,)
 
-    return _emit("scale", (input,), c * input.data, lambda x: c * x, vjp)
+    return _emit("scale", (input,), c * input.data, vjp)
 
 
 def mse_loss(a: Tensor, b: Tensor) -> Tensor:
@@ -447,27 +408,6 @@ def _as_float(v) -> float:
     if isinstance(v, Tensor):
         return v.item()
     return float(v)
-
-
-def sign(input: Tensor) -> Tensor:
-    """Elementwise sign with sign(0) = 0."""
-    return Tensor._wrap(np.sign(input.data))
-
-
-def l2_norm(input: Tensor) -> float:
-    """Euclidean norm over all elements."""
-    return float(np.sqrt(np.sum(input.data * input.data)))
-
-
-def clip_range(input: Tensor, lo: Tensor, hi: Tensor) -> Tensor:
-    """Elementwise clamp of ``input`` to [lo, hi]."""
-    if lo.shape != input.shape or hi.shape != input.shape:
-        raise ShapeError(
-            f"clip_range shapes differ: input {input.shape}, lo {lo.shape}, hi {hi.shape}"
-        )
-    if np.any(lo.data > hi.data):
-        raise ValueError("clip_range requires lo <= hi elementwise")
-    return Tensor._wrap(np.clip(input.data, lo.data, hi.data))
 
 
 # ---------------------------------------------------------------------------

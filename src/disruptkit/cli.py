@@ -14,10 +14,16 @@ import click
 import numpy as np
 
 from .attacks import build_gradient_provider, run_attack
-from .autodiff import Tensor
 from .config import OBJECTIVE_KINDS, SCENARIOS, load_config
 from .errors import ConfigError
-from .harness import _build_objective, _load_images, emit_reports, run_experiment
+from .harness import (
+    _build_objective,
+    _load_images,
+    build_world,
+    emit_reports,
+    run_experiment,
+    write_report,
+)
 from .metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
 from .zoo import build_model, sample_attribute_set
 
@@ -81,19 +87,9 @@ def attack(config_path, out_path, image_index, method, seed_override):
         config = _apply_overrides(load_config(config_path), seed_override, None)
         if method not in config.objectives:
             raise ConfigError(f"method {method!r} is not in config.objectives")
-        dataset = _load_images(config)
+        models, pools, dataset = build_world(config)
         if not 0 <= image_index < len(dataset):
             raise ConfigError(f"image_index {image_index} outside dataset of {len(dataset)}")
-        models = {
-            spec.name: build_model(spec.archetype, spec.seed, spec.dims, name=spec.name)
-            for spec in config.models
-        }
-        pools = {
-            spec.name: sample_attribute_set(
-                models[spec.name], config.n_known, config.n_unknown,
-                [config.attribute_seed, index])
-            for index, spec in enumerate(config.models)
-        }
         attack_models = [models[n] for n in config.attack_model_names()]
         known = {m.name: pools[m.name].known for m in attack_models}
         X = dataset[image_index]
@@ -169,14 +165,11 @@ def calibrate(config_path, out_path, pairs):
 @click.option("--out", "out_dir", default=None, type=click.Path())
 @click.option("--seed-override", default=None, type=int)
 def project(config_path, out_dir, seed_override):
-    """Attack, then export only the latent PCA table."""
+    """Attack, then export only the latent PCA table (no scenario evaluation)."""
 
     def body():
         config = _apply_overrides(load_config(config_path), seed_override, None)
-        report = run_experiment(config)
-        paths = emit_reports(report, out_dir or config.output_dir)
-        for path in paths:
-            if path.name == "latents_pca.csv":
-                click.echo(str(path))
+        report = run_experiment(replace(config, scenarios=()))
+        click.echo(str(write_report(report, out_dir or config.output_dir, "latents_pca.csv")))
 
     _guarded(body)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attacks import AttackConfig
-from .ensembles import ENSEMBLE_KINDS, EnsembleStrategy
+from .ensembles import EnsembleStrategy
 from .errors import ConfigError
 from .metrics import MetricThresholds
 from .zoo import ARCHETYPES, ModelDims
@@ -59,7 +59,7 @@ class ExperimentConfig:
     holdout_model: str | None
     thresholds: MetricThresholds
     metrics_seed: int
-    parallel_workers: int
+    parallel_workers: int  # schema-1 key, validated and echoed; attacks always run serially
     output_dir: str
 
     def attack_model_names(self) -> tuple[str, ...]:
@@ -319,8 +319,12 @@ def load_config(path) -> ExperimentConfig:
         text = p.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
+
+    def reject_constant(name: str):
+        raise ConfigError(f"config {p} contains the non-finite constant {name}")
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     return parse_config(raw)

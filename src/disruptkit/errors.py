@@ -15,3 +15,7 @@ class ConfigError(ValueError):
 
 class DegenerateEmbeddingError(ValueError):
     """A surrogate embedding has zero norm, so a cosine distance is undefined."""
+
+
+class InvariantError(RuntimeError):
+    """A guarantee the attack or harness promises was found broken at run time."""

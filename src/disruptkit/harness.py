@@ -9,8 +9,8 @@ the config, which is what makes rerun outputs byte-identical.
 
 import csv
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from .attacks import build_gradient_provider, run_attack
 from .autodiff import Tensor
 from .config import ExperimentConfig
 from .dataset import SyntheticDataset, generate_dataset, load_dataset_from_directory
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .metrics import (
     SurrogateEmbedder,
     aggregate_dsr,
@@ -108,8 +108,12 @@ def _scenario_plan(config: ExperimentConfig, scenario: str, models: dict, pools:
     return [(models[n], pools[n].unknown) for n in attack_names]
 
 
-def run_experiment(config: ExperimentConfig) -> EvaluationReport:
-    """Craft every perturbation, then evaluate all configured scenarios."""
+def build_world(config: ExperimentConfig) -> tuple[dict, dict, SyntheticDataset]:
+    """The config's models and attribute pools by model name, and its images.
+
+    Images load first, so a bad dataset fails before any model is built.
+    """
+    dataset = _load_images(config)
     models = {
         spec.name: build_model(spec.archetype, spec.seed, spec.dims, name=spec.name)
         for spec in config.models
@@ -120,7 +124,16 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             [config.attribute_seed, index])
         for index, spec in enumerate(config.models)
     }
-    dataset = _load_images(config)
+    return models, pools, dataset
+
+
+def run_experiment(config: ExperimentConfig) -> EvaluationReport:
+    """Craft every perturbation, then evaluate all configured scenarios.
+
+    Attacks run serially; ``config.parallel_workers`` is ignored. With no
+    scenarios configured, only the attacks and the latent projection run.
+    """
+    models, pools, dataset = build_world(config)
     attack_models = [models[n] for n in config.attack_model_names()]
     known_attrs = {m.name: pools[m.name].known for m in attack_models}
 
@@ -128,30 +141,20 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         model.counters.reset()
 
     # -- attack phase: one eta per (method, image), holdout never touched ----
-    def attack_image(index: int) -> dict:
+    n_images = len(dataset)
+    crafted = {method: [] for method in config.objectives}
+    runtime = dict.fromkeys(config.objectives, 0.0)
+    for index in range(n_images):
         X = dataset[index]
         per_image = replace(config.attack, seed=(config.attack.seed, index))
-        results = {}
         for method in config.objectives:
             objective = _build_objective(method, known_attrs)
             start = time.perf_counter()
             provider = build_gradient_provider(attack_models, objective,
                                                config.ensemble, X)
-            eta = run_attack(provider, X, per_image)
-            results[method] = (eta, time.perf_counter() - start)
-        return results
-
-    n_images = len(dataset)
-    if config.parallel_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_workers) as pool:
-            attacked = list(pool.map(attack_image, range(n_images)))
-    else:
-        attacked = [attack_image(i) for i in range(n_images)]
-
-    etas = {method: tuple(attacked[i][method][0] for i in range(n_images))
-            for method in config.objectives}
-    runtime = {method: float(sum(attacked[i][method][1] for i in range(n_images)))
-               for method in config.objectives}
+            crafted[method].append(run_attack(provider, X, per_image))
+            runtime[method] += time.perf_counter() - start
+    etas = {method: tuple(crafted[method]) for method in config.objectives}
     attack_counters = {
         name: {"encode_calls": m.counters.encode_calls,
                "generate_calls": m.counters.generate_calls}
@@ -159,7 +162,9 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     }
     if config.holdout_model is not None:
         held = attack_counters[config.holdout_model]
-        assert held["encode_calls"] == 0 and held["generate_calls"] == 0
+        if held["encode_calls"] or held["generate_calls"]:
+            raise InvariantError(
+                f"holdout model {config.holdout_model!r} was called during the attack: {held}")
 
     # -- evaluation phase ----------------------------------------------------
     pixels = int(np.prod(config.dataset.image_shape))
@@ -229,16 +234,6 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     )
 
 
-def run_scenario(config: ExperimentConfig, scenario: str) -> EvaluationReport:
-    """Run the pipeline for a single scenario from the config's list."""
-    if scenario not in ("white_box", "gray_box", "black_box"):
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    narrowed = replace(config, scenarios=(scenario,))
-    if scenario == "black_box" and config.holdout_model is None:
-        raise ConfigError("black_box scenario requires holdout_model")
-    return run_experiment(narrowed)
-
-
 def _aggregates(report: EvaluationReport) -> dict:
     out: dict[str, dict] = {}
     for scenario in report.config.scenarios:
@@ -259,62 +254,74 @@ def _aggregates(report: EvaluationReport) -> dict:
     return out
 
 
-def emit_reports(report: EvaluationReport, out_dir) -> list[Path]:
-    """Write results.csv, summary.json, latents_pca.csv, config_echo.json."""
+def _write_results(report: EvaluationReport, fh) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["scenario", "method", "model", "image_index",
+                     "l2", "id", "lpips", "success"])
+    for r in report.rows:
+        writer.writerow([r.scenario, r.method, r.model, r.image_index,
+                         repr(r.l2), repr(r.id), repr(r.lpips), int(r.success)])
+
+
+def _write_summary(report: EvaluationReport, fh) -> None:
+    # a non-finite separation (zero-spread clusters, e.g. one image) is written as null
+    separation = {
+        name: {method: (v if math.isfinite(v) else None) for method, v in per_method.items()}
+        for name, per_method in report.separation.items()
+    }
+    payload = {
+        "schema_version": 1,
+        "aggregates": _aggregates(report),
+        "runtime_seconds": report.runtime_seconds,
+        "separation": separation,
+        "attack_phase_counters": report.attack_phase_counters,
+        "parameter_ratio": report.parameter_ratio,
+        "protocol": {
+            "attribute_aggregation": "mean over the scenario's conditioning list"
+                                     " before thresholding",
+            "success_rule": "any distance strictly above its threshold",
+        },
+    }
+    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
+def _write_latents(report: EvaluationReport, fh) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["model", "group", "image_index", "pc1", "pc2"])
+    for r in report.latent_rows:
+        writer.writerow([r.model, r.group, r.image_index, repr(r.pc1), repr(r.pc2)])
+
+
+def _write_echo(report: EvaluationReport, fh) -> None:
+    json.dump(report.config.normalized(), fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
+REPORT_WRITERS = {
+    "results.csv": _write_results,
+    "summary.json": _write_summary,
+    "latents_pca.csv": _write_latents,
+    "config_echo.json": _write_echo,
+}
+
+
+def write_report(report: EvaluationReport, out_dir, name: str) -> Path:
+    """Write the report file ``name`` (a key of REPORT_WRITERS) into ``out_dir``."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    path = out / name
+    try:
+        with open(path, "w", newline="") as fh:
+            REPORT_WRITERS[name](report, fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
 
-    written = []
 
-    def emit(name: str, write_fn) -> None:
-        path = out / name
-        try:
-            with open(path, "w", newline="") as fh:
-                write_fn(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
-        written.append(path)
-
-    def write_results(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "method", "model", "image_index",
-                         "l2", "id", "lpips", "success"])
-        for r in report.rows:
-            writer.writerow([r.scenario, r.method, r.model, r.image_index,
-                             repr(r.l2), repr(r.id), repr(r.lpips), int(r.success)])
-
-    def write_summary(fh):
-        payload = {
-            "schema_version": 1,
-            "aggregates": _aggregates(report),
-            "runtime_seconds": report.runtime_seconds,
-            "separation": report.separation,
-            "attack_phase_counters": report.attack_phase_counters,
-            "parameter_ratio": report.parameter_ratio,
-            "protocol": {
-                "attribute_aggregation": "mean over the scenario's conditioning list"
-                                         " before thresholding",
-                "success_rule": "any distance strictly above its threshold",
-            },
-        }
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    def write_latents(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "group", "image_index", "pc1", "pc2"])
-        for r in report.latent_rows:
-            writer.writerow([r.model, r.group, r.image_index, repr(r.pc1), repr(r.pc2)])
-
-    def write_echo(fh):
-        json.dump(report.config.normalized(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    emit("results.csv", write_results)
-    emit("summary.json", write_summary)
-    emit("latents_pca.csv", write_latents)
-    emit("config_echo.json", write_echo)
-    return written
+def emit_reports(report: EvaluationReport, out_dir) -> list[Path]:
+    """Write results.csv, summary.json, latents_pca.csv, config_echo.json."""
+    return [write_report(report, out_dir, name) for name in REPORT_WRITERS]

@@ -11,6 +11,7 @@ a tape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,8 +44,9 @@ class MetricThresholds:
 
     def __post_init__(self):
         for name in ("l2", "id", "lpips"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"threshold {name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ConfigError(f"threshold {name} must be finite and > 0, got {value}")
 
 
 class SurrogateEmbedder:

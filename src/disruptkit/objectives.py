@@ -5,10 +5,12 @@
   ones attacked.
 - Latent attack: MSE between clean and perturbed latents. Carries no
   attribute information whatsoever (enforced structurally: the objective
-  type has no attribute field) and never invokes the generator.
+  type has no fields) and never invokes the generator.
 
 Reference values (clean outputs and latents) are computed off-tape and
 frozen before any attack iteration, so the optimization target is fixed.
+``bind`` is the one way to evaluate an objective; the helpers below are
+expressed through it.
 """
 
 from __future__ import annotations
@@ -25,52 +27,13 @@ __all__ = [
     "ImageAttackObjective",
     "LatentAttackObjective",
     "per_model_image_loss",
-    "per_model_latent_loss",
     "objective_value",
 ]
-
-
-def _mean_of(losses: Sequence[Tensor]) -> Tensor:
-    total = losses[0]
-    for extra in losses[1:]:
-        total = ad.add(total, extra)
-    return ad.scale(total, 1.0 / len(losses))
-
-
-def _image_loss_against_refs(model: TwoStageModel, x_pert: Tensor,
-                             attrs: Sequence[Tensor], refs: Sequence[Tensor]) -> Tensor:
-    # one encode shared across all attributes
-    z = model.encode(x_pert)
-    losses = [ad.mse_loss(model.generate(z, c), ref) for c, ref in zip(attrs, refs)]
-    return _mean_of(losses)
-
-
-def per_model_image_loss(model: TwoStageModel, X: Tensor, X_pert: Tensor,
-                         attrs: Sequence[Tensor]) -> Tensor:
-    """Mean over ``attrs`` of mse(G(E(X),c), G(E(X_pert),c)), references off-tape."""
-    if not attrs:
-        raise ConfigError(f"{model.name}: image attack needs a non-empty attribute list")
-    with ad.stop_recording():
-        refs = [model.full_forward(X, c) for c in attrs]
-    return _image_loss_against_refs(model, X_pert, attrs, refs)
-
-
-def per_model_latent_loss(model: TwoStageModel, X: Tensor, X_pert: Tensor) -> Tensor:
-    """mse(E(X), E(X_pert)); the generator is never invoked."""
-    with ad.stop_recording():
-        ref = model.encode(X)
-    return ad.mse_loss(model.encode(X_pert), ref)
 
 
 @dataclass(frozen=True)
 class LatentAttackObjective:
     """Latent-distance objective; deliberately has no attribute field."""
-
-    kind: str = "leat"
-
-    def __post_init__(self):
-        if self.kind != "leat":
-            raise ConfigError(f"latent objective kind must be 'leat', got {self.kind!r}")
 
     def bind(self, model: TwoStageModel, X: Tensor) -> Callable[[Tensor], Tensor]:
         """Freeze E(X) now; return a taped loss of the perturbed image."""
@@ -92,11 +55,8 @@ class ImageAttackObjective:
     """
 
     attributes_by_model: Mapping[str, Sequence[Tensor]]
-    kind: str = "image_attack"
 
     def __post_init__(self):
-        if self.kind != "image_attack":
-            raise ConfigError(f"image objective kind must be 'image_attack', got {self.kind!r}")
         for name, attrs in self.attributes_by_model.items():
             if not attrs:
                 raise ConfigError(f"{name}: image attack needs a non-empty attribute list")
@@ -114,7 +74,13 @@ class ImageAttackObjective:
             refs = [model.full_forward(X, c) for c in attrs]
 
         def loss(x_pert: Tensor) -> Tensor:
-            return _image_loss_against_refs(model, x_pert, attrs, refs)
+            # one encode shared across all attributes
+            z = model.encode(x_pert)
+            losses = [ad.mse_loss(model.generate(z, c), ref) for c, ref in zip(attrs, refs)]
+            total = losses[0]
+            for extra in losses[1:]:
+                total = ad.add(total, extra)
+            return ad.scale(total, 1.0 / len(losses))
 
         return loss
 
@@ -122,14 +88,14 @@ class ImageAttackObjective:
 Objective = LatentAttackObjective | ImageAttackObjective
 
 
+def per_model_image_loss(model: TwoStageModel, X: Tensor, X_pert: Tensor,
+                         attrs: Sequence[Tensor]) -> Tensor:
+    """Mean over ``attrs`` of mse(G(E(X),c), G(E(X_pert),c)), references off-tape."""
+    return ImageAttackObjective({model.name: attrs}).bind(model, X)(X_pert)
+
+
 def objective_value(objective: Objective, models: Sequence[TwoStageModel],
                     X: Tensor, X_pert: Tensor) -> float:
     """Sum of per-model losses, computed off-tape (diagnostic scalar)."""
-    total = 0.0
     with ad.stop_recording():
-        for model in models:
-            if isinstance(objective, LatentAttackObjective):
-                total += per_model_latent_loss(model, X, X_pert).item()
-            else:
-                total += per_model_image_loss(model, X, X_pert, objective.attrs_for(model)).item()
-    return total
+        return sum((objective.bind(model, X)(X_pert).item() for model in models), 0.0)

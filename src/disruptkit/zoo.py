@@ -18,7 +18,6 @@ a pure function of (params, X) by construction.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,7 +49,6 @@ class LatentSpec:
 
     kind: str  # vector | feature_map | image_shaped
     shape: tuple[int, ...]
-    semantic_flag: bool
 
     def __post_init__(self):
         rank = len(self.shape)
@@ -113,26 +111,16 @@ def init_parameters(seed_entropy: Sequence[int], layers: Sequence[tuple[str, int
     return ParameterSet(seed=int(seed_entropy[0]), tensors=tensors)
 
 
+@dataclass
 class _Counters:
-    """Thread-safe diagnostic call counters (test instrumentation, not model state)."""
+    """Diagnostic call counters (test instrumentation, not model state)."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.encode_calls = 0
-        self.generate_calls = 0
-
-    def bump_encode(self):
-        with self._lock:
-            self.encode_calls += 1
-
-    def bump_generate(self):
-        with self._lock:
-            self.generate_calls += 1
+    encode_calls: int = 0
+    generate_calls: int = 0
 
     def reset(self):
-        with self._lock:
-            self.encode_calls = 0
-            self.generate_calls = 0
+        self.encode_calls = 0
+        self.generate_calls = 0
 
 
 @dataclass(frozen=True)
@@ -162,7 +150,7 @@ class TwoStageModel:
             raise ShapeError(
                 f"{self.name}: encode input shape {X.shape} != image shape {self.dims.image_shape}"
             )
-        self.counters.bump_encode()
+        self.counters.encode_calls += 1
         p = self.encoder_params
         x_flat = ad.reshape(X, [self.dims.pixels])
         h = ad.tanh(ad.forward_affine(x_flat, p["enc1.w"], p["enc1.b"]))
@@ -183,7 +171,7 @@ class TwoStageModel:
                 f"{self.name}: latent shape {latent.shape} != expected {self.latent_spec.shape}"
             )
         self._check_attribute(c)
-        self.counters.bump_generate()
+        self.counters.generate_calls += 1
         p = self.generator_params
         if self.archetype == "vec_conditional":
             z = ad.reshape(latent, [self.dims.latent_dim]) \
@@ -238,24 +226,24 @@ def _layer_plan(archetype: str, dims: ModelDims) -> tuple[list, list, LatentSpec
                        dims.generator_hidden, dims.attribute_dim)
     if archetype == "vec_conditional":
         if dims.latent_shape is not None:
-            spec = LatentSpec("feature_map", dims.latent_shape, semantic_flag=True)
+            spec = LatentSpec("feature_map", dims.latent_shape)
         else:
-            spec = LatentSpec("vector", (L,), semantic_flag=True)
+            spec = LatentSpec("vector", (L,))
         enc = [("enc1", He, P), ("enc2", L, He)]
         gen = [("gen1", Hg, L + A), ("gen2", P, Hg)]
         return enc, gen, spec, A
     if archetype == "refiner":
-        spec = LatentSpec("vector", (L,), semantic_flag=True)
+        spec = LatentSpec("vector", (L,))
         enc = [("enc1", He, P), ("enc2", L, He)]
         gen = [("refine", L, L + A), ("gen1", Hg, L), ("gen2", P, Hg)]
         return enc, gen, spec, A
     if archetype == "swapper":
-        spec = LatentSpec("vector", (L,), semantic_flag=True)
+        spec = LatentSpec("vector", (L,))
         enc = [("enc1", He, P), ("enc2", L, He)]
         gen = [("target", L, P), ("gen1", Hg, 2 * L), ("gen2", P, Hg)]
         return enc, gen, spec, P
     if archetype == "reenactor":
-        spec = LatentSpec("image_shaped", dims.image_shape, semantic_flag=False)
+        spec = LatentSpec("image_shaped", dims.image_shape)
         enc = [("enc1", He, P), ("enc2", P, He)]
         gen = [("gen1", Hg, P + A), ("gen2", P, Hg)]
         return enc, gen, spec, A

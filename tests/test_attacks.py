@@ -1,4 +1,8 @@
-"""Budget projection, single-step and iterative sign-gradient attacks."""
+"""Budget projection, single-step and iterative sign-gradient attacks.
+
+The single-step (FGSM) attack is run_attack with one iteration; its tests
+drive that path through ``one_step``.
+"""
 
 import numpy as np
 import pytest
@@ -8,14 +12,12 @@ from disruptkit import zoo
 from disruptkit.attacks import (
     AttackConfig,
     build_gradient_provider,
-    fgsm,
-    project_budget,
     run_attack,
 )
 from disruptkit.autodiff import Tensor
 from disruptkit.dataset import generate_dataset
 from disruptkit.ensembles import EnsembleStrategy
-from disruptkit.errors import ConfigError, ShapeError
+from disruptkit.errors import ConfigError, InvariantError, ShapeError
 from disruptkit.objectives import (
     ImageAttackObjective,
     LatentAttackObjective,
@@ -39,6 +41,27 @@ def latent_provider(models, x):
     return build_gradient_provider(models, LatentAttackObjective(), NORMALIZED, x)
 
 
+def loss_gradient_provider(loss_fn):
+    """Gradient provider of a single taped scalar loss."""
+    def provider(x_t):
+        tape = ad.Tape()
+        tape.watch(x_t)
+        with ad.recording(tape):
+            loss = loss_fn(x_t)
+        return ad.backward(loss, x_t)
+    return provider
+
+
+def one_step(loss_fn, x):
+    """FGSM: one step of size epsilon from eta = 0, i.e. eps * sign(grad) budget-projected."""
+    cfg = AttackConfig(epsilon=0.05, step_a=0.05, iterations=1, random_init=False)
+    return run_attack(loss_gradient_provider(loss_fn), x, cfg)
+
+
+def constant_gradient(values):
+    return lambda x_t: Tensor(values)
+
+
 def offset_latent_loss(model, x_ref):
     # a latent loss whose reference latent is that of a different image, so
     # its gradient is nonzero at the attacked image itself (the self-distance
@@ -57,6 +80,8 @@ class TestAttackConfig:
     @pytest.mark.parametrize("bad", [
         dict(epsilon=0.0), dict(epsilon=-0.1),
         dict(step_a=0.0), dict(iterations=0),
+        dict(epsilon=float("nan")), dict(epsilon=float("inf")),
+        dict(step_a=float("nan")), dict(step_a=float("inf")),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
@@ -64,23 +89,30 @@ class TestAttackConfig:
 
 
 class TestProjectBudget:
+    """The eps-ball and pixel-range projection of run_attack's update."""
+
+    @staticmethod
+    def step(x, gradient, step_a=0.08):
+        cfg = AttackConfig(epsilon=0.05, step_a=step_a, iterations=1, random_init=False)
+        return run_attack(constant_gradient(gradient), Tensor(x), cfg)
+
     def test_ball_clamp(self):
-        out = project_budget(Tensor([0.50]), Tensor([0.58]), 0.05)
-        assert out.data.tolist() == [0.55]
+        eta = self.step([0.50], [1.0])
+        assert eta.data.tolist() == [0.05]
+        assert (0.50 + eta.data).tolist() == [0.55]
 
     def test_pixel_clamp_dominates(self):
-        out = project_budget(Tensor([0.02]), Tensor([-0.03]), 0.05)
-        assert out.data.tolist() == [0.00]
+        eta = self.step([0.02], [-1.0])
+        assert (0.02 + eta.data).tolist() == [0.00]
 
     def test_inside_both_ranges_unchanged(self):
-        x = Tensor([0.50, 0.30])
-        cand = Tensor([0.52, 0.27])
-        out = project_budget(x, cand, 0.05)
-        assert np.array_equal(out.data, cand.data)
+        eta = self.step([0.50, 0.30], [1.0, -1.0], step_a=0.02)
+        assert eta.data.tolist() == [0.02, -0.02]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            project_budget(Tensor([0.5]), Tensor([0.5, 0.5]), 0.05)
+            run_attack(constant_gradient([1.0]), Tensor([0.5]),
+                       AttackConfig(random_init=False), init_eta=Tensor([0.0, 0.0]))
 
 
 class TestFgsm:
@@ -95,8 +127,7 @@ class TestFgsm:
             row = ad.forward_affine(flat, Tensor(w.reshape(1, 64)), Tensor([0.0]))
             return ad.mean(row)
 
-        cfg = AttackConfig(epsilon=0.05, random_init=False)
-        eta = fgsm(objective, x, cfg)
+        eta = one_step(objective, x)
         want = 0.05 * np.sign(w / 64.0)
         assert np.array_equal(eta.data, want)
 
@@ -106,14 +137,14 @@ class TestFgsm:
         def objective(xp):
             return ad.mse_loss(xp, xp)  # identically zero
 
-        eta = fgsm(objective, x, AttackConfig())
+        eta = one_step(objective, x)
         assert np.array_equal(eta.data, np.zeros(x.shape))
 
     def test_budget_magnitude_exact_at_interior_pixels(self):
         x = interior_source(3)
         model = zoo.build_model("vec_conditional", seed=1)
         loss_fn = offset_latent_loss(model, source(30))
-        eta = fgsm(loss_fn, x, AttackConfig(epsilon=0.05))
+        eta = one_step(loss_fn, x)
         nonzero = eta.data != 0.0
         assert nonzero.any()
         assert np.all(np.abs(eta.data[nonzero]) == 0.05)
@@ -121,16 +152,15 @@ class TestFgsm:
     def test_pixel_feasibility_at_borders(self):
         x = source(4)  # blob images attain 0.0 and 1.0
         model = zoo.build_model("vec_conditional", seed=1)
-        eta = fgsm(offset_latent_loss(model, source(31)), x, AttackConfig())
+        eta = one_step(offset_latent_loss(model, source(31)), x)
         adv = x.data + eta.data
         assert np.all(adv >= 0.0) and np.all(adv <= 1.0)
         assert np.max(np.abs(eta.data)) > 0.0
 
     def test_rejects_out_of_range_source(self):
-        model = zoo.build_model("vec_conditional", seed=1)
         bad = Tensor(np.full((8, 8, 1), 1.5))
         with pytest.raises(ConfigError):
-            fgsm(lambda xp: ad.mse_loss(xp, xp), bad, AttackConfig())
+            one_step(lambda xp: ad.mse_loss(xp, xp), bad)
 
 
 class TestRunAttack:
@@ -143,9 +173,12 @@ class TestRunAttack:
             [model], LatentAttackObjective(), NORMALIZED, x_ref)
         cfg = AttackConfig(epsilon=0.05, step_a=0.01, iterations=1, random_init=False)
         eta_loop = run_attack(provider, x, cfg)
-        # same thing by hand: one fgsm step of size a, then budget projection
-        eta_one = fgsm(loss_fn, x, AttackConfig(epsilon=0.01, random_init=False))
-        eta_projected = np.clip(eta_one.data, -0.05, 0.05)
+        # same thing by hand: one signed step of size a, then budget and pixel projection
+        g = loss_gradient_provider(loss_fn)(x)
+        eta_step = np.clip(0.01 * np.sign(g.data), -0.05, 0.05)
+        moved = x.data + eta_step
+        eta_projected = np.where(moved < 0.0, -x.data,
+                                 np.where(moved > 1.0, 1.0 - x.data, eta_step))
         assert np.max(np.abs(eta_loop.data)) > 0.0
         assert np.array_equal(eta_loop.data, eta_projected)
 
@@ -199,6 +232,16 @@ class TestRunAttack:
             run_attack(latent_provider([model], x), x,
                        AttackConfig(random_init=True),
                        init_eta=Tensor(np.zeros(x.shape)))
+
+    def test_nan_gradient_raises_invariant_error(self):
+        x = source(9)
+
+        def nan_provider(x_t):
+            return Tensor._wrap(np.full(x_t.shape, np.nan))
+
+        with pytest.raises(InvariantError, match="iteration 0"):
+            run_attack(nan_provider, x, AttackConfig(iterations=3))
+        assert not issubclass(InvariantError, AssertionError)
 
     def test_provider_shape_contract_enforced(self):
         x = source(9)

@@ -103,7 +103,7 @@ class TestActivations:
     def test_relu_subgradient_zero_at_origin(self):
         tape = ad.Tape()
         (x,) = watched(tape, [0.0, -1.0, 2.0])
-        with tape.activate():
+        with ad.recording(tape):
             loss = ad.mean(ad.relu(x))
         g = ad.backward(loss, x)
         assert g.data.tolist() == [0.0, 0.0, 1.0 / 3.0]
@@ -146,7 +146,7 @@ class TestBackward:
     def test_quadratic_scalar(self):
         tape = ad.Tape()
         (x,) = watched(tape, [2.0])
-        with tape.activate():
+        with ad.recording(tape):
             loss = ad.mse_loss(x, ad.Tensor([0.0]))
         g = ad.backward(loss, x)
         assert g.data.tolist() == [4.0]
@@ -154,7 +154,7 @@ class TestBackward:
     def test_constant_loss_zero_gradient(self):
         tape = ad.Tape()
         x, y = watched(tape, [1.0, 2.0], [3.0])
-        with tape.activate():
+        with ad.recording(tape):
             loss = ad.mse_loss(y, ad.Tensor([0.0]))
         g = ad.backward(loss, x)
         assert g.shape == (2,)
@@ -251,7 +251,7 @@ class TestBackward:
     def test_lineage_error_for_foreign_tensor(self):
         tape = ad.Tape()
         (x,) = watched(tape, [1.0])
-        with tape.activate():
+        with ad.recording(tape):
             loss = ad.mse_loss(x, ad.Tensor([0.0]))
         stranger = ad.Tensor([1.0])
         with pytest.raises(LineageError):
@@ -265,32 +265,17 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()
         (x,) = watched(tape, [1.0, 2.0])
-        with tape.activate():
+        with ad.recording(tape):
             y = ad.tanh(x)
         with pytest.raises(ShapeError):
             ad.backward(y, x)
 
 
-class TestTapeReplay:
-    def test_replay_reproduces_outputs_exactly(self):
-        rng = np.random.default_rng(4)
-        x0 = ad.Tensor(rng.normal(size=6))
-        w = ad.Tensor(rng.normal(size=(4, 6)))
-        b = ad.Tensor(rng.normal(size=4))
-        tape = ad.Tape()
-        with ad.recording(tape):
-            x = tape.watch(x0)
-            h = ad.relu(ad.forward_affine(x, w, b))
-            ad.mse_loss(h, ad.Tensor(np.zeros(4)))
-        replayed = tape.replay()
-        assert len(replayed) == len(tape.records)
-        for rec, arr in zip(tape.records, replayed):
-            assert np.array_equal(rec.output.data, arr)
-
+class TestTapeRecords:
     def test_topological_order(self):
         tape = ad.Tape()
         (x,) = watched(tape, [1.0, -2.0])
-        with tape.activate():
+        with ad.recording(tape):
             y = ad.tanh(x)
             loss = ad.mse_loss(y, ad.Tensor([0.0, 0.0]))
         assert [rec.op for rec in tape.records] == ["tanh", "sqdiff", "mean"]
@@ -308,7 +293,7 @@ class TestStopRecording:
     def test_ops_inside_stop_are_not_recorded(self):
         tape = ad.Tape()
         (x,) = watched(tape, [1.0, 2.0])
-        with tape.activate():
+        with ad.recording(tape):
             with ad.stop_recording():
                 ref = ad.tanh(x)
             loss = ad.mse_loss(x, ref)
@@ -349,27 +334,6 @@ class TestFiniteDifference:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             ad.finite_difference_gradient(lambda t: 0.0, ad.Tensor([1.0]), h=0.0)
-
-
-class TestUntapedUtilities:
-    def test_sign_zero_is_zero(self):
-        s = ad.sign(ad.Tensor([-2.0, 0.0, 3.0]))
-        assert s.data.tolist() == [-1.0, 0.0, 1.0]
-
-    def test_l2_norm(self):
-        assert ad.l2_norm(ad.Tensor([3.0, 4.0])) == 5.0
-
-    def test_clip_range_forced_clamp(self):
-        out = ad.clip_range(ad.Tensor([0.58]), ad.Tensor([0.45]), ad.Tensor([0.55]))
-        assert out.data.tolist() == [0.55]
-
-    def test_clip_range_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            ad.clip_range(ad.Tensor([0.5, 0.6]), ad.Tensor([0.0]), ad.Tensor([1.0]))
-
-    def test_clip_range_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            ad.clip_range(ad.Tensor([0.5]), ad.Tensor([1.0]), ad.Tensor([0.0]))
 
 
 class TestParameterSet:

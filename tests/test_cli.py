@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from disruptkit.cli import main
+from disruptkit.config import load_config
+from disruptkit.harness import run_experiment
 
 
 def _config_dict(**overrides):
@@ -111,6 +113,22 @@ def test_run_invalid_json_exits_1(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("section, key, value, token", [
+    ("attack", "step_a", float("nan"), "NaN"),
+    ("attack", "epsilon", float("inf"), "Infinity"),
+    ("thresholds", "l2", float("nan"), "NaN"),
+])
+def test_run_non_finite_config_value_exits_1(runner, tmp_path, section, key, value, token):
+    raw = _config_dict()
+    raw.setdefault(section, {})[key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    result = runner.invoke(main, ["run", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert token in result.output and str(cfg) in result.output
+
+
 def test_run_runtime_failure_exits_2(runner, tmp_path):
     # dataset path that exists but is a file: surfaces as an OS-level error
     blocker = tmp_path / "blocker"
@@ -134,6 +152,18 @@ def test_attack_emits_eta_json(runner, tmp_path):
     assert payload["shape"] == [8, 8, 1]
     values = np.array([float(v) for v in payload["eta"]]).reshape(8, 8, 1)
     assert float(np.max(np.abs(values))) <= payload["epsilon"] + 1e-12
+
+
+def test_attack_eta_matches_run(runner, tmp_path):
+    cfg = _write_config(tmp_path)
+    report = run_experiment(load_config(cfg))
+    for method in ("leat", "image_attack"):
+        out = tmp_path / f"{method}.json"
+        result = runner.invoke(main, ["attack", "--config", str(cfg), "--image-index", "2",
+                                      "--method", method, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        eta = [float(v) for v in json.loads(out.read_text())["eta"]]
+        assert eta == report.etas[method][2].data.reshape(-1).tolist()
 
 
 def test_attack_deterministic_bytes(runner, tmp_path):
@@ -215,5 +245,9 @@ def test_project_emits_latents_only(runner, tmp_path):
     assert result.exit_code == 0, result.output
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].endswith("latents_pca.csv")
+    assert [p.name for p in out.iterdir()] == ["latents_pca.csv"]
     header = (out / "latents_pca.csv").read_text().splitlines()[0]
     assert header == "model,group,image_index,pc1,pc2"
+    full = tmp_path / "full"
+    assert runner.invoke(main, ["run", "--config", str(cfg), "--out", str(full)]).exit_code == 0
+    assert (out / "latents_pca.csv").read_bytes() == (full / "latents_pca.csv").read_bytes()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from disruptkit.config import parse_config
 from disruptkit.dataset import generate_dataset, write_pnm
 from disruptkit.errors import ConfigError
-from disruptkit.harness import emit_reports, run_experiment, run_scenario
+from disruptkit.harness import emit_reports, run_experiment
 
 
 def _raw(**overrides):
@@ -87,27 +88,14 @@ def test_leat_skips_generators(report):
 
 def test_leat_eta_identical_white_vs_gray():
     cfg = parse_config(_raw())
-    white = run_scenario(cfg, "white_box")
-    gray = run_scenario(cfg, "gray_box")
+    white = run_experiment(replace(cfg, scenarios=("white_box",)))
+    gray = run_experiment(replace(cfg, scenarios=("gray_box",)))
     for a, b in zip(white.etas["leat"], gray.etas["leat"]):
         assert np.array_equal(a.data, b.data)
 
 
 def test_leat_runtime_below_image_attack(report):
     assert report.runtime_seconds["leat"] < report.runtime_seconds["image_attack"]
-
-
-def test_run_scenario_narrows():
-    cfg = parse_config(_raw())
-    rep = run_scenario(cfg, "white_box")
-    assert {r.scenario for r in rep.rows} == {"white_box"}
-    assert rep.config.scenarios == ("white_box",)
-
-
-def test_run_scenario_rejects_unknown():
-    cfg = parse_config(_raw())
-    with pytest.raises(ConfigError):
-        run_scenario(cfg, "mauve_box")
 
 
 def test_emit_writes_expected_files(report, tmp_path):
@@ -129,6 +117,7 @@ def test_rerun_byte_identical(report, tmp_path):
 
 
 def test_parallel_rows_match_serial(report, tmp_path):
+    # parallel_workers is accepted for schema-1 configs and ignored
     rep2 = run_experiment(parse_config(_raw(parallel_workers=2)))
     serial = emit_reports(report, tmp_path / "serial")[0].read_bytes()
     parallel = emit_reports(rep2, tmp_path / "parallel")[0].read_bytes()
@@ -207,6 +196,20 @@ def test_emit_rejects_unwritable_dir(report, tmp_path):
     blocker.write_text("a file, not a directory")
     with pytest.raises(ConfigError):
         emit_reports(report, blocker)
+
+
+def test_single_image_summary_is_strict_json(tmp_path):
+    # one image gives zero-spread PCA clusters, so every separation is infinite
+    raw = _raw(scenarios=["white_box"])
+    raw["dataset"]["count"] = 1
+    out = emit_reports(run_experiment(parse_config(raw)), tmp_path / "out")
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    json.loads(out[3].read_text(), parse_constant=reject)  # config_echo.json
+    summary = json.loads(out[1].read_text(), parse_constant=reject)
+    assert summary["separation"]["vec_a"] == {"image_attack": None, "leat": None}
 
 
 def test_etas_respect_budget(report):

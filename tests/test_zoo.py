@@ -65,7 +65,6 @@ class TestLatentSpecs:
         m = zoo.build_model("reenactor", seed=0)
         assert m.latent_spec.kind == "image_shaped"
         assert m.latent_spec.shape == m.dims.image_shape
-        assert m.latent_spec.semantic_flag is False
 
     def test_vector_latents(self):
         for archetype in ("vec_conditional", "refiner", "swapper"):
@@ -89,11 +88,11 @@ class TestLatentSpecs:
 
     def test_latent_spec_rank_validation(self):
         with pytest.raises(ConfigError):
-            zoo.LatentSpec("vector", (3, 2), semantic_flag=True)
+            zoo.LatentSpec("vector", (3, 2))
         with pytest.raises(ConfigError):
-            zoo.LatentSpec("feature_map", (4,), semantic_flag=True)
+            zoo.LatentSpec("feature_map", (4,))
         with pytest.raises(ConfigError):
-            zoo.LatentSpec("holographic", (4,), semantic_flag=True)
+            zoo.LatentSpec("holographic", (4,))
 
 
 class TestEncode:
