@@ -18,6 +18,11 @@ clamp's exact +/-epsilon values survive on untouched coordinates.
 
 The gradient provider passed to run_attack encapsulates the objective and
 the ensemble strategy; the loop itself knows nothing about models.
+
+Both work on one image ``[H, W, C]`` or a stack ``[..., H, W, C]``: every
+step is elementwise, the provider backpropagates the sum of the per-image
+losses (which gives each image exactly its own gradient) and the ensemble
+rules apply per image, so a stack attacks each of its images independently.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ __all__ = [
 GradientProvider = Callable[[Tensor], Tensor]
 
 BUDGET_SLACK = 1e-12
+
+# images are [H, W, C]; axes of X before those index the images of a stack
+IMAGE_RANK = 3
 
 
 @dataclass(frozen=True)
@@ -91,13 +99,29 @@ def _settle_pixels(x_arr: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.n
     eta = np.array(eta)
     for _ in range(4):
         x_t = x_arr + eta
+        if x_t.min() >= 0.0 and x_t.max() <= 1.0:
+            return x_t, eta
         lo = x_t < 0.0
         hi = x_t > 1.0
-        if not (lo.any() or hi.any()):
+        if not (lo.any() or hi.any()):  # NaN: nothing to move; run_attack's checks report it
             return x_t, eta
         eta[lo] = -x_arr[lo]
         eta[hi] = 1.0 - x_arr[hi]
     raise FloatingPointError("pixel-range projection did not reach a fixed point")
+
+
+def _random_start(config: AttackConfig, shape: tuple[int, ...]) -> np.ndarray:
+    """eta uniform in [-eps, +eps]; the image at stack index i draws from (seed, *i).
+
+    A single image (no stack axes) draws from config.seed alone, so image i
+    of a stack starts exactly where a one-image attack seeded (seed, i) does.
+    """
+    lead = shape[:max(len(shape) - IMAGE_RANK, 0)]
+    entropy = config.seed_entropy()
+    starts = [np.random.default_rng(entropy + list(index)).uniform(
+                  -config.epsilon, config.epsilon, size=shape[len(lead):])
+              for index in np.ndindex(*lead)]
+    return np.stack(starts).reshape(shape)
 
 
 def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig,
@@ -107,10 +131,11 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
 
     Each iteration: X' = X_t + a * sign(g); eta = clip_eps(X' - X);
     X_{t+1} = X + eta kept pixel-valid. With random_init the loop starts
-    from eta uniform in [-eps, +eps] (drawn from config.seed), otherwise
-    from zero. ``init_eta`` resumes from a previous run's output (mutually
-    exclusive with random_init); an already-valid state is resumed verbatim
-    so split runs reproduce one long run bit-for-bit.
+    from eta uniform in [-eps, +eps] (drawn from config.seed, per image of a
+    stack, see _random_start), otherwise from zero. ``init_eta`` resumes
+    from a previous run's output (mutually exclusive with random_init); an
+    already-valid state is resumed verbatim so split runs reproduce one long
+    run bit-for-bit.
     """
     if np.any(X.data < 0.0) or np.any(X.data > 1.0):
         raise ConfigError("source image must have values in [0,1]")
@@ -129,8 +154,7 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
             x_t, eta = _settle_pixels(x_arr, eta)
     else:
         if config.random_init:
-            rng = np.random.default_rng(config.seed_entropy())
-            eta = rng.uniform(-eps, eps, size=X.shape)
+            eta = _random_start(config, X.shape)
         else:
             eta = np.zeros(X.shape)
         x_t, eta = _settle_pixels(x_arr, eta)
@@ -141,12 +165,14 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
             raise ShapeError(f"gradient provider returned shape {g.shape}, expected {X.shape}")
         eta = np.clip(eta + config.step_a * np.sign(g.data), -eps, eps)
         x_t, eta = _settle_pixels(x_arr, eta)
-        if not np.max(np.abs(eta)) <= eps + BUDGET_SLACK:
+        # ndarray.min/max/all rather than np.* wrappers: same tests (NaN fails
+        # each), a fraction of the per-iteration cost
+        if not np.abs(eta).max() <= eps + BUDGET_SLACK:
             raise InvariantError(
-                f"iteration {t}: max |eta| = {np.max(np.abs(eta))} exceeds epsilon {eps}")
-        if not (np.all(x_t >= 0.0) and np.all(x_t <= 1.0)):
+                f"iteration {t}: max |eta| = {np.abs(eta).max()} exceeds epsilon {eps}")
+        if not (x_t.min() >= 0.0 and x_t.max() <= 1.0):
             raise InvariantError(f"iteration {t}: X + eta left the pixel range [0, 1]")
-        if not np.array_equal(x_t, x_arr + eta):
+        if not (x_t == x_arr + eta).all():
             raise InvariantError(f"iteration {t}: x_t is not bitwise X + eta")
         if on_step is not None:
             on_step(AttackState(X=X, x_t=Tensor._wrap(x_t), eta=Tensor._wrap(eta), t=t))
@@ -158,24 +184,37 @@ def build_gradient_provider(models: Sequence[TwoStageModel], objective: Objectiv
     """Bind objective references to X and wire per-model gradients into the ensemble.
 
     Clean references (latents or outputs) are frozen here, once, before any
-    iteration. Each call then runs one fresh tape per model and aggregates.
+    iteration. Each call then runs one fresh tape per model, backpropagates
+    the sum of that model's per-image losses once, and aggregates. A
+    non-finite loss or gradient raises InvariantError naming the model and
+    the image row (in row-major order over X's stack axes; 0 for one image).
     """
     if not models:
         raise ConfigError("gradient provider needs at least one model")
-    bound = [(i, objective.bind(model, X)) for i, model in enumerate(models)]
+    bound = [(i, model, objective.bind(model, X)) for i, model in enumerate(models)]
 
     def provider(x_t: Tensor) -> Tensor:
         per_model = []
-        for model_id, loss_fn in bound:
+        for model_id, model, loss_fn in bound:
             tape = Tape()
             tape.watch(x_t)
             with ad.recording(tape):
-                loss = loss_fn(x_t)
+                losses = loss_fn(x_t)
+            gradient = ad.backward(losses, x_t, summed=True)
+            _check_finite(model, losses.data, gradient.data)
             per_model.append(PerModelGradient(
-                model_id=model_id,
-                loss_value=loss.item(),
-                gradient=ad.backward(loss, x_t),
-            ))
+                model_id=model_id, loss_value=losses.data, gradient=gradient))
         return aggregate(strategy, per_model)
 
     return provider
+
+
+def _check_finite(model: TwoStageModel, losses: np.ndarray, gradient: np.ndarray) -> None:
+    if np.isfinite(losses).all() and np.isfinite(gradient).all():
+        return
+    rows = losses.size
+    finite = (np.isfinite(losses.reshape(rows))
+              & np.isfinite(gradient.reshape(rows, -1)).all(axis=1))
+    raise InvariantError(
+        f"model {model.name!r}: non-finite loss or gradient at image row"
+        f" {int(np.argmin(finite))}")

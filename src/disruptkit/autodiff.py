@@ -2,18 +2,25 @@
 
 The primitive set is the closure needed by the toy two-stage models and the
 disruption losses: affine maps, elementwise activations (tanh/relu/sigmoid),
-reshape, concatenate, mean, squared difference, plus add/scale for residual
-blocks and loss combination. Everything runs in 64-bit floats so gradients
-can be validated tightly against central finite differences.
+reshape, broadcast, concatenate, mean, squared difference, plus add/scale for
+residual blocks and loss combination. Every op keeps leading (batch) axes, so
+a stack of inputs runs through the same code as a single one. Everything runs
+in 64-bit floats so gradients can be validated tightly against central finite
+differences.
 
 Recording is opt-in: ops consult a thread-local active tape and compute
-plainly when none is active (used for frozen reference values). A tape is
-never mutated by a backward pass, so it can be differentiated repeatedly.
+plainly when none is active (used for frozen reference values). A tape tracks
+only the tensors it watches and the outputs of ops it recorded; an op with no
+tracked input is not recorded, and a backward pass computes no gradient for an
+untracked input (model weights, frozen references). A tape is never mutated by
+a backward pass, so it can be differentiated repeatedly.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -35,6 +42,7 @@ __all__ = [
     "relu",
     "sigmoid",
     "reshape",
+    "broadcast",
     "concatenate",
     "mean",
     "squared_difference",
@@ -51,7 +59,9 @@ ACTIVATION_KINDS = ("tanh", "relu", "sigmoid")
 class Tensor:
     """Immutable dense array of 64-bit floats in row-major order."""
 
-    __slots__ = ("_data", "_tape")
+    # a weak reference to the recording tape: the tape holds its outputs, so
+    # a strong one would make every tape a cycle that only the cyclic GC frees
+    __slots__ = ("_data", "_tape_ref")
 
     def __init__(self, data, shape: Sequence[int] | None = None):
         arr = np.array(data, dtype=np.float64, copy=True, order="C")
@@ -61,7 +71,7 @@ class Tensor:
             raise ValueError("tensor values must be finite")
         arr.flags.writeable = False
         self._data = arr
-        self._tape = None
+        self._tape_ref = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -73,12 +83,17 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         t._data = arr
-        t._tape = None
+        t._tape_ref = None
         return t
 
     @property
     def data(self) -> np.ndarray:
         return self._data
+
+    @property
+    def _tape(self) -> "Tape | None":
+        """The tape that recorded this tensor, while that tape is alive."""
+        return None if self._tape_ref is None else self._tape_ref()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,8 +123,11 @@ def zeros_like(t: Tensor) -> Tensor:
 class _Record:
     op: str
     inputs: tuple[Tensor, ...]
+    needs: tuple[bool, ...]  # per input: is it tracked by the tape
     output: Tensor
-    vjp_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    # (output gradient, needs) -> per-input gradients; those not needed are
+    # ignored, so a VJP may skip computing them
+    vjp_fn: Callable[[np.ndarray, tuple[bool, ...]], tuple[np.ndarray | None, ...]]
 
 
 class Tape:
@@ -124,6 +142,7 @@ class Tape:
         self._records: list[_Record] = []
         self._known: set[int] = set()
         self._watched: list[Tensor] = []
+        self._ref = weakref.ref(self)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -139,14 +158,17 @@ class Tape:
         return t
 
     def _record(self, op, inputs, output, vjp_fn):
-        self._records.append(_Record(op, tuple(inputs), output, vjp_fn))
-        for t in inputs:
-            self._known.add(id(t))
+        # every tracked tensor is held by _watched or a record, so ids stay unique
+        known = self._known
+        needs = tuple([id(t) in known for t in inputs])
+        if True not in needs:
+            return
+        self._records.append(_Record(op, tuple(inputs), needs, output, vjp_fn))
         self._known.add(id(output))
-        output._tape = self
+        output._tape_ref = self._ref
 
-    def gradient(self, loss: Tensor, wrt: Tensor) -> Tensor:
-        if loss.size != 1:
+    def gradient(self, loss: Tensor, wrt: Tensor, summed: bool = False) -> Tensor:
+        if loss.size != 1 and not summed:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         if id(wrt) not in self._known:
             raise LineageError("requested tensor was never recorded on this tape")
@@ -157,8 +179,8 @@ class Tape:
             g_out = grads.get(id(rec.output))
             if g_out is None:
                 continue
-            for t, g in zip(rec.inputs, rec.vjp_fn(g_out)):
-                if g is None:
+            for t, needed, g in zip(rec.inputs, rec.needs, rec.vjp_fn(g_out, rec.needs)):
+                if not needed:
                     continue
                 acc = grads.get(id(t))
                 grads[id(t)] = g if acc is None else acc + g
@@ -238,11 +260,11 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     y = (input.data.reshape(-1, n_in) @ w.T + b).reshape(out_shape)
     x_saved = input.data
 
-    def vjp(g):
+    def vjp(g, needs):
         g2 = g.reshape(-1, n_out)
-        gx = (g2 @ w).reshape(x_saved.shape)
-        gw = g2.T @ x_saved.reshape(-1, n_in)
-        gb = g2.sum(axis=0)
+        gx = (g2 @ w).reshape(x_saved.shape) if needs[0] else None
+        gw = g2.T @ x_saved.reshape(-1, n_in) if needs[1] else None
+        gb = g2.sum(axis=0) if needs[2] else None
         return gx, gw, gb
 
     return _emit("affine", (input, weights, bias), y, vjp)
@@ -259,27 +281,24 @@ def activation(input: Tensor, kind: str) -> Tensor:
     x = input.data
     if kind == "tanh":
         y = np.tanh(x)
-        def vjp(g, y=y):
+        def vjp(g, needs, y=y):
             return (g * (1.0 - y * y),)
     elif kind == "relu":
         y = np.maximum(x, 0.0)
         mask = x > 0.0
-        def vjp(g, mask=mask):
+        def vjp(g, needs, mask=mask):
             return (g * mask,)
     else:
         y = _stable_sigmoid(x)
-        def vjp(g, y=y):
+        def vjp(g, needs, y=y):
             return (g * y * (1.0 - y),)
     return _emit(kind, (input,), y, vjp)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; e^-|x| never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -296,14 +315,36 @@ def sigmoid(t: Tensor) -> Tensor:
 
 def reshape(input: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != input.size:
+    if math.prod(shape) != input.size:
         raise ShapeError(f"cannot reshape {input.shape} to {shape}")
     old_shape = input.shape
 
-    def vjp(g):
+    def vjp(g, needs):
         return (g.reshape(old_shape),)
 
     return _emit("reshape", (input,), input.data.reshape(shape), vjp)
+
+
+def broadcast(input: Tensor, shape: Sequence[int]) -> Tensor:
+    """``input`` repeated to ``shape`` by numpy rules: new leading axes, stretched size-1 axes.
+
+    The VJP sums the output gradient over every added or stretched axis.
+    """
+    shape = tuple(shape)
+    old_shape = input.shape
+    try:
+        y = np.broadcast_to(input.data, shape)
+    except ValueError:
+        raise ShapeError(f"cannot broadcast {old_shape} to {shape}") from None
+    added = len(shape) - len(old_shape)
+    stretched = tuple(added + i for i, s in enumerate(old_shape) if s != shape[added + i])
+
+    def vjp(g, needs):
+        if stretched:
+            g = g.sum(axis=stretched, keepdims=True)
+        return (g.sum(axis=tuple(range(added))) if added else g,)
+
+    return _emit("broadcast", (input,), y, vjp)
 
 
 def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -314,22 +355,33 @@ def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [a.shape[axis] for a in arrs]
     offsets = np.cumsum(sizes)[:-1]
 
-    def vjp(g):
+    def vjp(g, needs):
         return tuple(np.split(g, offsets, axis=axis))
 
     return _emit("concat", tuple(parts), y, vjp)
 
 
-def mean(input: Tensor) -> Tensor:
-    """Mean over all elements; returns a scalar (shape ``()``) tensor."""
-    n = input.size
+def mean(input: Tensor, axes: int | None = None) -> Tensor:
+    """Mean over the last ``axes`` axes (all of them by default).
+
+    The result keeps the leading axes, so with ``axes=None`` it is a scalar
+    (shape ``()``) tensor and otherwise one mean per leading index.
+    """
     shape = input.shape
+    k = len(shape) if axes is None else int(axes)
+    if not 0 <= k <= len(shape):
+        raise ShapeError(f"cannot take the mean over {k} trailing axes of shape {shape}")
+    lead = len(shape) - k
+    n = math.prod(shape[lead:])
 
-    def vjp(g):
-        gs = float(np.asarray(g).reshape(()))
-        return (np.full(shape, gs / n, dtype=np.float64),)
+    def vjp(g, needs):
+        out = np.empty(shape)
+        out[...] = (g / n).reshape(g.shape + (1,) * k)
+        return (out,)
 
-    return _emit("mean", (input,), np.mean(input.data), vjp)
+    # the same bits as np.mean, without its per-call overhead
+    y = input.data.sum(axis=tuple(range(lead, len(shape)))) / n
+    return _emit("mean", (input,), y, vjp)
 
 
 def squared_difference(a: Tensor, b: Tensor) -> Tensor:
@@ -337,9 +389,9 @@ def squared_difference(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"squared_difference shapes differ: {a.shape} vs {b.shape}")
     d = a.data - b.data
 
-    def vjp(g, d=d):
+    def vjp(g, needs, d=d):
         gd = 2.0 * d * g
-        return gd, -gd
+        return gd, (-gd if needs[1] else None)
 
     return _emit("sqdiff", (a, b), d * d, vjp)
 
@@ -348,7 +400,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
 
-    def vjp(g):
+    def vjp(g, needs):
         return g, g
 
     return _emit("add", (a, b), a.data + b.data, vjp)
@@ -357,29 +409,34 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def scale(input: Tensor, factor: float) -> Tensor:
     c = float(factor)
 
-    def vjp(g):
+    def vjp(g, needs):
         return (c * g,)
 
     return _emit("scale", (input,), c * input.data, vjp)
 
 
-def mse_loss(a: Tensor, b: Tensor) -> Tensor:
-    """Mean of squared elementwise differences, as a scalar tensor."""
+def mse_loss(a: Tensor, b: Tensor, axes: int | None = None) -> Tensor:
+    """Mean of squared elementwise differences over the last ``axes`` axes (all by default)."""
     if a.shape != b.shape:
         raise ShapeError(f"mse_loss shapes differ: {a.shape} vs {b.shape}")
-    return mean(squared_difference(a, b))
+    return mean(squared_difference(a, b), axes)
 
 
-def backward(loss: Tensor, wrt: Tensor) -> Tensor:
+def backward(loss: Tensor, wrt: Tensor, *, summed: bool = False) -> Tensor:
     """Gradient of a recorded scalar ``loss`` with respect to ``wrt``.
 
-    The tape is discovered from the loss tensor and left untouched, so it
-    can be differentiated again (also against other tensors).
+    With ``summed=True`` the loss may have any shape, and the result is the
+    gradient of the sum of its elements: every element is seeded with
+    exactly 1, so for per-image losses of a stack each image gets its own
+    gradient. The tape is discovered from the loss tensor and left
+    untouched, so it can be differentiated again (also against other
+    tensors). The caller keeps the tape alive: a tensor refers to its tape
+    only weakly.
     """
     tape = loss._tape
     if tape is None:
-        raise LineageError("loss tensor was not produced under an active tape")
-    return tape.gradient(loss, wrt)
+        raise LineageError("loss tensor was not produced under a live tape")
+    return tape.gradient(loss, wrt, summed)
 
 
 # ---------------------------------------------------------------------------

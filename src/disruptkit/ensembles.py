@@ -12,6 +12,12 @@ loop consumes:
 - normalized_gradient_ensemble: sum of gradients each divided by its own L2
   norm, so no single vulnerable model dominates the direction. A gradient
   with norm below ZERO_NORM_THRESHOLD contributes zero instead of NaN.
+
+A loss value may be an array of per-image losses instead of a float. Its
+shape is then the gradient's leading axes, which index rows (one per image
+of a stack), and each rule applies per row: the sums are elementwise anyway,
+the normalized ensemble takes one L2 norm per row, and hmm picks one model
+per row.
 """
 
 from __future__ import annotations
@@ -45,22 +51,34 @@ ZERO_NORM_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class PerModelGradient:
-    """One model's contribution: its loss value and d(loss)/d(source image)."""
+    """One model's contribution: its loss values and d(loss)/d(source images).
+
+    ``loss_value`` is a float for one image, or an array of per-image losses
+    whose shape is the gradient's leading (row) axes.
+    """
 
     model_id: int
-    loss_value: float
+    loss_value: float | np.ndarray
     gradient: Tensor
 
 
-def _check(per_model: Sequence[PerModelGradient]) -> None:
+def _check(per_model: Sequence[PerModelGradient]) -> int:
+    """Validate shapes; returns the number of leading row axes."""
     if not per_model:
         raise ConfigError("gradient aggregation needs at least one model")
     shape = per_model[0].gradient.shape
-    for pm in per_model[1:]:
+    rows = np.shape(per_model[0].loss_value)
+    for pm in per_model:
         if pm.gradient.shape != shape:
             raise ShapeError(
                 f"model {pm.model_id} gradient shape {pm.gradient.shape} != {shape}"
             )
+        if np.shape(pm.loss_value) != rows or shape[:len(rows)] != rows:
+            raise ShapeError(
+                f"model {pm.model_id} loss shape {np.shape(pm.loss_value)} does not lead"
+                f" gradient shape {shape}"
+            )
+    return len(rows)
 
 
 def aggregate_loss_ensemble(per_model: Sequence[PerModelGradient],
@@ -82,10 +100,20 @@ def aggregate_loss_ensemble(per_model: Sequence[PerModelGradient],
 
 
 def aggregate_hmm(per_model: Sequence[PerModelGradient]) -> Tensor:
-    """The minimum-loss model's gradient, returned bit-identically."""
-    _check(per_model)
-    best = min(per_model, key=lambda pm: (pm.loss_value, pm.model_id))
-    return best.gradient
+    """Per row, the minimum-loss model's gradient row, copied bit-identically.
+
+    Ties go to the lowest model_id. When one model wins every row, its
+    gradient object itself is returned.
+    """
+    rows = _check(per_model)
+    ordered = sorted(per_model, key=lambda pm: pm.model_id)
+    # argmin takes the first minimum, i.e. the lowest model_id among ties
+    winner = np.argmin(np.stack([np.asarray(pm.loss_value) for pm in ordered]), axis=0)
+    if np.all(winner == winner.flat[0]):
+        return ordered[int(winner.flat[0])].gradient
+    grads = np.stack([pm.gradient.data for pm in ordered])
+    pick = winner.reshape((1,) + winner.shape + (1,) * (grads.ndim - 1 - rows))
+    return Tensor._wrap(np.take_along_axis(grads, pick, axis=0)[0])
 
 
 def aggregate_gradient_ensemble(per_model: Sequence[PerModelGradient]) -> Tensor:
@@ -98,14 +126,14 @@ def aggregate_gradient_ensemble(per_model: Sequence[PerModelGradient]) -> Tensor
 
 
 def aggregate_normalized(per_model: Sequence[PerModelGradient]) -> Tensor:
-    """Sum of unit-normalized gradients; vanishing gradients contribute zero."""
-    _check(per_model)
+    """Sum of per-row unit-normalized gradients; vanishing rows contribute zero."""
+    rows = _check(per_model)
     total = np.zeros(per_model[0].gradient.shape)
     for pm in per_model:
-        norm = float(np.sqrt(np.sum(pm.gradient.data ** 2)))
-        if norm < ZERO_NORM_THRESHOLD:
-            continue
-        total = total + pm.gradient.data / norm
+        g = pm.gradient.data
+        norm = np.sqrt((g * g).sum(axis=tuple(range(rows, g.ndim)), keepdims=True))
+        # a NaN norm is not dead, so a NaN gradient still poisons the sum
+        total += np.divide(g, norm, out=np.zeros_like(g), where=~(norm < ZERO_NORM_THRESHOLD))
     return Tensor._wrap(total)
 
 

@@ -3,7 +3,10 @@
 Perturbations are crafted once per (method, image) against the attack-time
 models, then reused by every scenario evaluation; the holdout model is never
 part of the attack ensemble, so white/gray/black-box rows all describe the
-same perturbation. Evaluation-phase rows and aggregates are pure functions of
+same perturbation. Each method attacks the whole dataset as one stack, in
+index order, so the batch layout (and with it every floating-point bit) is a
+pure function of the config; image i still starts from the seed
+(attack.seed, i). Evaluation-phase rows and aggregates are pure functions of
 the config, which is what makes rerun outputs byte-identical.
 """
 
@@ -11,7 +14,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,7 @@ from .metrics import (
     perceptual_distance,
     separation_statistic,
 )
-from .objectives import ImageAttackObjective, LatentAttackObjective
+from .objectives import ImageAttackObjective, LatentAttackObjective, attribute_outputs
 from .zoo import build_model, sample_attribute_set
 
 
@@ -130,8 +133,9 @@ def build_world(config: ExperimentConfig) -> tuple[dict, dict, SyntheticDataset]
 def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     """Craft every perturbation, then evaluate all configured scenarios.
 
-    Attacks run serially; ``config.parallel_workers`` is ignored. With no
-    scenarios configured, only the attacks and the latent projection run.
+    Each method runs one provider + attack over the whole dataset;
+    ``config.parallel_workers`` is ignored. With no scenarios configured,
+    only the attacks and the latent projection run.
     """
     models, pools, dataset = build_world(config)
     attack_models = [models[n] for n in config.attack_model_names()]
@@ -142,19 +146,18 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
     # -- attack phase: one eta per (method, image), holdout never touched ----
     n_images = len(dataset)
-    crafted = {method: [] for method in config.objectives}
-    runtime = dict.fromkeys(config.objectives, 0.0)
-    for index in range(n_images):
-        X = dataset[index]
-        per_image = replace(config.attack, seed=(config.attack.seed, index))
-        for method in config.objectives:
-            objective = _build_objective(method, known_attrs)
-            start = time.perf_counter()
-            provider = build_gradient_provider(attack_models, objective,
-                                               config.ensemble, X)
-            crafted[method].append(run_attack(provider, X, per_image))
-            runtime[method] += time.perf_counter() - start
-    etas = {method: tuple(crafted[method]) for method in config.objectives}
+    X = Tensor._wrap(np.stack([image.data for image in dataset.images]))
+    x_adv = {}
+    etas = {}
+    runtime = {}
+    for method in config.objectives:
+        objective = _build_objective(method, known_attrs)
+        start = time.perf_counter()
+        provider = build_gradient_provider(attack_models, objective, config.ensemble, X)
+        eta = run_attack(provider, X, config.attack)
+        runtime[method] = time.perf_counter() - start
+        etas[method] = tuple(Tensor._wrap(row) for row in eta.data)
+        x_adv[method] = Tensor._wrap(X.data + eta.data)
     attack_counters = {
         name: {"encode_calls": m.counters.encode_calls,
                "generate_calls": m.counters.generate_calls}
@@ -173,21 +176,19 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
     rows = []
     for scenario in config.scenarios:
-        for method in config.objectives:
-            for model, attrs in _scenario_plan(config, scenario, models, pools):
+        # each (model, pool) pair belongs to one scenario; its clean outputs
+        # [N, K, H, W, C] serve every method
+        for model, attrs in _scenario_plan(config, scenario, models, pools):
+            outputs = attribute_outputs(model, attrs, (n_images,))
+            y_clean = outputs(model.encode(X)).data
+            for method in config.objectives:
+                y_pert = outputs(model.encode(x_adv[method])).data
                 for index in range(n_images):
-                    X = dataset[index]
-                    x_t = Tensor._wrap(X.data + etas[method][index].data)
-                    l2s, ids, lps = [], [], []
-                    for c in attrs:
-                        y_clean = model.full_forward(X, c)
-                        y_pert = model.full_forward(x_t, c)
-                        l2s.append(l2_image(y_clean, y_pert))
-                        ids.append(id_distance(y_clean, y_pert, id_embedder))
-                        lps.append(perceptual_distance(y_clean, y_pert, lp_embedder))
-                    l2 = float(np.mean(l2s))
-                    idv = float(np.mean(ids))
-                    lp = float(np.mean(lps))
+                    pairs = list(zip(y_clean[index], y_pert[index]))
+                    l2 = float(np.mean([l2_image(a, b) for a, b in pairs]))
+                    idv = float(np.mean([id_distance(a, b, id_embedder) for a, b in pairs]))
+                    lp = float(np.mean([perceptual_distance(a, b, lp_embedder)
+                                        for a, b in pairs]))
                     rows.append(EvaluationRow(
                         scenario=scenario, method=method, model=model.name,
                         image_index=index, l2=l2, id=idv, lpips=lp,
@@ -199,16 +200,10 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     separation: dict[str, dict[str, float]] = {}
     for name in sorted(models):
         model = models[name]
-        clean = [model.encode(dataset[i]) for i in range(n_images)]
-        by_method = {
-            method: [model.encode(Tensor._wrap(dataset[i].data + etas[method][i].data))
-                     for i in range(n_images)]
-            for method in config.objectives
-        }
-        stacked = list(clean)
+        stacked = [model.encode(X).data.reshape(n_images, -1)]
         for method in config.objectives:
-            stacked.extend(by_method[method])
-        points = pca_project_latents(stacked)
+            stacked.append(model.encode(x_adv[method]).data.reshape(n_images, -1))
+        points = pca_project_latents(np.concatenate(stacked))
         groups = ["clean"] + list(config.objectives)
         for g, group in enumerate(groups):
             for index in range(n_images):

@@ -10,13 +10,17 @@
 Reference values (clean outputs and latents) are computed off-tape and
 frozen before any attack iteration, so the optimization target is fixed.
 ``bind`` is the one way to evaluate an objective; the helpers below are
-expressed through it.
+expressed through it. A bound loss returns one value per image: for a stack
+``X`` of shape ``[..., H, W, C]`` its shape is ``X``'s leading axes, and for
+a single image it is a scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -26,6 +30,7 @@ from .zoo import TwoStageModel
 __all__ = [
     "ImageAttackObjective",
     "LatentAttackObjective",
+    "attribute_outputs",
     "per_model_image_loss",
     "objective_value",
 ]
@@ -36,12 +41,13 @@ class LatentAttackObjective:
     """Latent-distance objective; deliberately has no attribute field."""
 
     def bind(self, model: TwoStageModel, X: Tensor) -> Callable[[Tensor], Tensor]:
-        """Freeze E(X) now; return a taped loss of the perturbed image."""
+        """Freeze E(X) now; return a taped per-image loss of the perturbed images."""
         with ad.stop_recording():
             ref = model.encode(X)
+        latent_rank = len(model.latent_spec.shape)
 
         def loss(x_pert: Tensor) -> Tensor:
-            return ad.mse_loss(model.encode(x_pert), ref)
+            return ad.mse_loss(model.encode(x_pert), ref, latent_rank)
 
         return loss
 
@@ -68,19 +74,20 @@ class ImageAttackObjective:
         return attrs
 
     def bind(self, model: TwoStageModel, X: Tensor) -> Callable[[Tensor], Tensor]:
-        """Freeze G(E(X), c) for every known attribute; return a taped loss."""
-        attrs = self.attrs_for(model)
+        """Freeze G(E(X), c) for every known attribute; return a taped per-image loss.
+
+        The K attributes sit on an axis after X's leading axes, so one encode
+        and one generate serve all of them, and each image's loss is the mean
+        over (K, H, W, C).
+        """
+        lead = X.shape[:len(X.shape) - len(model.dims.image_shape)]
+        outputs = attribute_outputs(model, self.attrs_for(model), lead)
         with ad.stop_recording():
-            refs = [model.full_forward(X, c) for c in attrs]
+            refs = outputs(model.encode(X))
 
         def loss(x_pert: Tensor) -> Tensor:
-            # one encode shared across all attributes
-            z = model.encode(x_pert)
-            losses = [ad.mse_loss(model.generate(z, c), ref) for c, ref in zip(attrs, refs)]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ad.add(total, extra)
-            return ad.scale(total, 1.0 / len(losses))
+            return ad.mse_loss(outputs(model.encode(x_pert)), refs,
+                               1 + len(model.dims.image_shape))
 
         return loss
 
@@ -88,9 +95,28 @@ class ImageAttackObjective:
 Objective = LatentAttackObjective | ImageAttackObjective
 
 
+def attribute_outputs(model: TwoStageModel, attrs: Sequence[Tensor],
+                      lead: tuple[int, ...]) -> Callable[[Tensor], Tensor]:
+    """A function from latents ``[*lead, *latent]`` to G(z, c) for every c in ``attrs``.
+
+    Its outputs have shape ``[*lead, K, H, W, C]``: the K attributes sit on
+    the axis after ``lead``, so one generate call serves all of them. The
+    conditioning stack is built once, here.
+    """
+    stacked = np.stack([c.data for c in attrs])
+    c = Tensor._wrap(np.broadcast_to(stacked, lead + stacked.shape))
+    latent_shape = model.latent_spec.shape
+    fanned = lead + (len(attrs),) + latent_shape
+
+    def outputs(z: Tensor) -> Tensor:
+        return model.generate(ad.broadcast(ad.reshape(z, lead + (1,) + latent_shape), fanned), c)
+
+    return outputs
+
+
 def per_model_image_loss(model: TwoStageModel, X: Tensor, X_pert: Tensor,
                          attrs: Sequence[Tensor]) -> Tensor:
-    """Mean over ``attrs`` of mse(G(E(X),c), G(E(X_pert),c)), references off-tape."""
+    """Mean over ``attrs`` of mse(G(E(X),c), G(E(X_pert),c)) per image, references off-tape."""
     return ImageAttackObjective({model.name: attrs}).bind(model, X)(X_pert)
 
 

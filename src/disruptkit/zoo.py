@@ -14,6 +14,11 @@ Four archetypes with heterogeneous latents:
 All parameters are frozen random draws from a named seed; no training
 happens anywhere. Encoders never see the attribute input, so the latent is
 a pure function of (params, X) by construction.
+
+Every stage takes leading batch axes: ``encode`` maps ``[..., H, W, C]``
+images to ``[..., *latent_shape]`` latents, and ``generate`` takes latents
+and conditioning (``[..., A]``, or ``[..., H, W, C]`` for the swapper) with
+the same leading axes. A single image is the case with no leading axes.
 """
 
 from __future__ import annotations
@@ -145,71 +150,67 @@ class TwoStageModel:
     # -- encoding stage ----------------------------------------------------
 
     def encode(self, X: Tensor) -> Tensor:
-        """E(X): latent with latent_spec.shape; never reads any attribute."""
-        if X.shape != self.dims.image_shape:
-            raise ShapeError(
-                f"{self.name}: encode input shape {X.shape} != image shape {self.dims.image_shape}"
-            )
+        """E(X): ``[..., H, W, C]`` images to ``[..., *latent_spec.shape]``; never reads any attribute."""
+        lead = self._batch_axes(X, self.dims.image_shape, "encode input")
         self.counters.encode_calls += 1
         p = self.encoder_params
-        x_flat = ad.reshape(X, [self.dims.pixels])
+        x_flat = ad.reshape(X, lead + (self.dims.pixels,))
         h = ad.tanh(ad.forward_affine(x_flat, p["enc1.w"], p["enc1.b"]))
         if self.archetype == "reenactor":
             n_flat = ad.sigmoid(ad.forward_affine(h, p["enc2.w"], p["enc2.b"]))
-            return ad.reshape(n_flat, self.latent_spec.shape)
+            return ad.reshape(n_flat, lead + self.latent_spec.shape)
         z = ad.tanh(ad.forward_affine(h, p["enc2.w"], p["enc2.b"]))
         if self.latent_spec.kind == "feature_map":
-            return ad.reshape(z, self.latent_spec.shape)
+            return ad.reshape(z, lead + self.latent_spec.shape)
         return z
 
     # -- generation stage --------------------------------------------------
 
     def generate(self, latent: Tensor, c: Tensor) -> Tensor:
-        """G(z, c): image in [0,1] via terminal sigmoid."""
-        if latent.shape != self.latent_spec.shape:
+        """G(z, c): ``[..., H, W, C]`` images in [0,1] via terminal sigmoid.
+
+        ``latent`` and ``c`` must have the same leading axes.
+        """
+        lead = self._batch_axes(latent, self.latent_spec.shape, "latent")
+        c_shape = self.dims.image_shape if self.archetype == "swapper" else (self.attribute_arity,)
+        if self._batch_axes(c, c_shape, "conditioning") != lead:
             raise ShapeError(
-                f"{self.name}: latent shape {latent.shape} != expected {self.latent_spec.shape}"
-            )
-        self._check_attribute(c)
+                f"{self.name}: conditioning shape {c.shape} and latent shape {latent.shape}"
+                " have different leading axes")
         self.counters.generate_calls += 1
         p = self.generator_params
         if self.archetype == "vec_conditional":
-            z = ad.reshape(latent, [self.dims.latent_dim]) \
+            z = ad.reshape(latent, lead + (self.dims.latent_dim,)) \
                 if self.latent_spec.kind == "feature_map" else latent
-            u = ad.concatenate([z, c])
-            return self._decode(ad.tanh(ad.forward_affine(u, p["gen1.w"], p["gen1.b"])))
+            u = ad.concatenate([z, c], axis=-1)
+            return self._decode(ad.tanh(ad.forward_affine(u, p["gen1.w"], p["gen1.b"])), lead)
         if self.archetype == "refiner":
             state = latent
             for _ in range(self.dims.refine_steps):
-                step_in = ad.concatenate([state, c])
+                step_in = ad.concatenate([state, c], axis=-1)
                 state = ad.add(state, ad.tanh(ad.forward_affine(step_in, p["refine.w"], p["refine.b"])))
-            return self._decode(ad.tanh(ad.forward_affine(state, p["gen1.w"], p["gen1.b"])))
+            return self._decode(ad.tanh(ad.forward_affine(state, p["gen1.w"], p["gen1.b"])), lead)
         if self.archetype == "swapper":
-            c_flat = ad.reshape(c, [self.dims.pixels])
+            c_flat = ad.reshape(c, lead + (self.dims.pixels,))
             target_feat = ad.tanh(ad.forward_affine(c_flat, p["target.w"], p["target.b"]))
-            mix = ad.concatenate([latent, target_feat])
-            return self._decode(ad.tanh(ad.forward_affine(mix, p["gen1.w"], p["gen1.b"])))
+            mix = ad.concatenate([latent, target_feat], axis=-1)
+            return self._decode(ad.tanh(ad.forward_affine(mix, p["gen1.w"], p["gen1.b"])), lead)
         # reenactor: warp the neutral image by the action-unit vector
-        n_flat = ad.reshape(latent, [self.dims.pixels])
-        u = ad.concatenate([n_flat, c])
-        return self._decode(ad.tanh(ad.forward_affine(u, p["gen1.w"], p["gen1.b"])))
+        n_flat = ad.reshape(latent, lead + (self.dims.pixels,))
+        u = ad.concatenate([n_flat, c], axis=-1)
+        return self._decode(ad.tanh(ad.forward_affine(u, p["gen1.w"], p["gen1.b"])), lead)
 
-    def _decode(self, h: Tensor) -> Tensor:
+    def _decode(self, h: Tensor, lead: tuple[int, ...]) -> Tensor:
         p = self.generator_params
         y_flat = ad.sigmoid(ad.forward_affine(h, p["gen2.w"], p["gen2.b"]))
-        return ad.reshape(y_flat, self.dims.image_shape)
+        return ad.reshape(y_flat, lead + self.dims.image_shape)
 
-    def _check_attribute(self, c: Tensor) -> None:
-        if self.archetype == "swapper":
-            if c.shape != self.dims.image_shape:
-                raise ShapeError(
-                    f"{self.name}: swapper conditioning must be an image of shape "
-                    f"{self.dims.image_shape}, got {c.shape}"
-                )
-        elif c.shape != (self.attribute_arity,):
-            raise ShapeError(
-                f"{self.name}: attribute shape {c.shape} != ({self.attribute_arity},)"
-            )
+    def _batch_axes(self, t: Tensor, trailing: tuple[int, ...], what: str) -> tuple[int, ...]:
+        """The leading axes of ``t``, after checking that its shape ends in ``trailing``."""
+        lead = len(t.shape) - len(trailing)
+        if lead < 0 or t.shape[lead:] != trailing:
+            raise ShapeError(f"{self.name}: {what} shape {t.shape} does not end in {trailing}")
+        return t.shape[:lead]
 
     def full_forward(self, X: Tensor, c: Tensor) -> Tensor:
         """Literal composition generate(encode(X), c); the decomposition is exact."""

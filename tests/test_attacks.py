@@ -6,6 +6,8 @@ drive that path through ``one_step``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disruptkit import autodiff as ad
 from disruptkit import zoo
@@ -16,13 +18,15 @@ from disruptkit.attacks import (
 )
 from disruptkit.autodiff import Tensor
 from disruptkit.dataset import generate_dataset
-from disruptkit.ensembles import EnsembleStrategy
+from disruptkit.ensembles import ENSEMBLE_KINDS, EnsembleStrategy
 from disruptkit.errors import ConfigError, InvariantError, ShapeError
 from disruptkit.objectives import (
     ImageAttackObjective,
     LatentAttackObjective,
     objective_value,
 )
+
+from support import rel_err
 
 NORMALIZED = EnsembleStrategy(kind="normalized_gradient_ensemble")
 
@@ -243,6 +247,18 @@ class TestRunAttack:
             run_attack(nan_provider, x, AttackConfig(iterations=3))
         assert not issubclass(InvariantError, AssertionError)
 
+        class NanObjective:
+            def bind(self, model, X):
+                inner = LatentAttackObjective().bind(model, X)
+                return lambda x_pert: ad.scale(inner(x_pert), float("nan"))
+
+        model = zoo.build_model("refiner", seed=2, name="refiner_nan")
+        stack = Tensor(np.stack([x.data, source(10).data]))
+        for X in (x, stack):
+            provider = build_gradient_provider([model], NanObjective(), NORMALIZED, X)
+            with pytest.raises(InvariantError, match="'refiner_nan'.*image row 0"):
+                run_attack(provider, X, AttackConfig(iterations=3))
+
     def test_provider_shape_contract_enforced(self):
         x = source(9)
         with pytest.raises(ShapeError):
@@ -311,3 +327,109 @@ class TestGradientProvider:
     def test_empty_model_list_rejected(self):
         with pytest.raises(ConfigError):
             build_gradient_provider([], LatentAttackObjective(), NORMALIZED, source(0))
+
+
+def stack_of(images):
+    return Tensor(np.stack([x.data for x in images]))
+
+
+class TestBatchedAttack:
+    """A stack [N, H, W, C] attacks each image as a one-image call would."""
+
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    @pytest.mark.parametrize("method", ["leat", "image_attack"])
+    def test_provider_rows_match_single_image_provider(self, kind, method):
+        images = generate_dataset(seed=40, count=4, shape=(8, 8, 1)).images
+        models = [zoo.build_model(arch, seed=20 + j) for j, arch in enumerate(zoo.ARCHETYPES)]
+        if method == "leat":
+            objective = LatentAttackObjective()
+        else:
+            pools = {m.name: zoo.sample_attribute_set(m, 3, 0, [41, j]).known
+                     for j, m in enumerate(models)}
+            objective = ImageAttackObjective(attributes_by_model=pools)
+        strategy = EnsembleStrategy(kind=kind)
+        X = stack_of(images)
+        rng = np.random.default_rng(42)
+        x_t = Tensor(np.clip(X.data + rng.uniform(-0.05, 0.05, X.shape), 0.0, 1.0))
+        batched = build_gradient_provider(models, objective, strategy, X)(x_t)
+        assert batched.shape == X.shape
+        for i, image in enumerate(images):
+            single = build_gradient_provider(models, objective, strategy, image)(
+                Tensor(x_t.data[i]))
+            assert rel_err(batched.data[i], single.data) < 1e-12
+
+    def test_hmm_picks_each_rows_single_image_model(self):
+        images = generate_dataset(seed=43, count=6, shape=(8, 8, 1)).images
+        models = [zoo.build_model("vec_conditional", seed=s) for s in (12, 13, 14)]
+        X = stack_of(images)
+        rng = np.random.default_rng(44)
+        x_t = Tensor(np.clip(X.data + rng.uniform(-0.05, 0.05, X.shape), 0.0, 1.0))
+        hmm = EnsembleStrategy(kind="hmm")
+        batched = build_gradient_provider(models, LatentAttackObjective(), hmm, X)(x_t)
+        picked = set()
+        for i, image in enumerate(images):
+            per_model = [
+                build_gradient_provider([m], LatentAttackObjective(), hmm, image)(
+                    Tensor(x_t.data[i])).data
+                for m in models]
+            single = build_gradient_provider(models, LatentAttackObjective(), hmm, image)(
+                Tensor(x_t.data[i]))
+            choice = next(j for j, g in enumerate(per_model) if np.array_equal(g, single.data))
+            picked.add(choice)
+            errs = [rel_err(batched.data[i], g) for g in per_model]
+            assert int(np.argmin(errs)) == choice and errs[choice] < 1e-12
+        assert len(picked) > 1
+
+    def test_random_start_of_row_i_is_seed_i(self):
+        # interior pixels and a zero gradient: the one step leaves the start as it was
+        images = [interior_source(s) for s in range(3)]
+        X = stack_of(images)
+        cfg = AttackConfig(epsilon=0.05, step_a=0.01, iterations=1, seed=7)
+        eta = run_attack(lambda x_t: Tensor(np.zeros(x_t.shape)), X, cfg)
+        for i in range(3):
+            want = np.random.default_rng([7, i]).uniform(-0.05, 0.05, (8, 8, 1))
+            assert np.array_equal(eta.data[i], want)
+
+    def test_stack_rows_equal_one_image_attacks(self):
+        images = generate_dataset(seed=45, count=3, shape=(8, 8, 1)).images
+        models = [zoo.build_model("vec_conditional", seed=15),
+                  zoo.build_model("reenactor", seed=16)]
+        cfg = AttackConfig(iterations=8, seed=5)
+        X = stack_of(images)
+        eta = run_attack(latent_provider(models, X), X, cfg)
+        for i, image in enumerate(images):
+            one = run_attack(latent_provider(models, image), image,
+                             AttackConfig(iterations=8, seed=(5, i)))
+            assert np.array_equal(eta.data[i], one.data)
+
+
+# pixels of the property test: interior values plus the boundary values 0 and 1
+PIXELS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    epsilon=st.floats(1e-4, 0.5),
+    step_a=st.floats(1e-4, 0.5),
+    iterations=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    pixels=st.lists(PIXELS, min_size=8, max_size=8),
+)
+def test_batched_attack_budget_invariants(n, epsilon, step_a, iterations, seed, pixels):
+    """x_t == X + eta bitwise, |eta| <= epsilon and x_t in [0, 1], at every iteration."""
+    rng = np.random.default_rng(seed)
+    # each image tiles the drawn pixels (with their exact 0s and 1s) in its own order
+    X = Tensor(np.stack([rng.permutation(np.resize(pixels, 16)).reshape(4, 4, 1)
+                         for _ in range(n)]))
+    signs = rng.choice([-1.0, 0.0, 1.0], size=(iterations,) + X.shape)
+    calls = iter(signs)
+    cfg = AttackConfig(epsilon=epsilon, step_a=step_a, iterations=iterations, seed=seed)
+    states = []
+    eta = run_attack(lambda x_t: Tensor(next(calls)), X, cfg, on_step=states.append)
+    assert len(states) == iterations
+    for state in states:
+        assert np.array_equal(state.x_t.data, X.data + state.eta.data)
+        assert np.max(np.abs(state.eta.data)) <= epsilon
+        assert np.all(state.x_t.data >= 0.0) and np.all(state.x_t.data <= 1.0)
+    assert np.array_equal(eta.data, states[-1].eta.data)

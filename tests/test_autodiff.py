@@ -1,5 +1,8 @@
 """Tensor arithmetic and reverse-mode gradient checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -269,6 +272,138 @@ class TestBackward:
             y = ad.tanh(x)
         with pytest.raises(ShapeError):
             ad.backward(y, x)
+
+    def test_summed_backward_is_gradient_of_the_sum(self):
+        rng = np.random.default_rng(39)
+        x0 = ad.Tensor(rng.normal(size=(3, 4)))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            x = tape.watch(x0)
+            y = ad.tanh(x)
+            total = ad.scale(ad.mean(y), y.size)
+        assert np.array_equal(ad.backward(y, x, summed=True).data, ad.backward(total, x).data)
+        assert np.array_equal(ad.backward(total, x, summed=True).data,
+                              ad.backward(total, x).data)
+
+
+class TestBatchPrimitives:
+    def test_mean_over_trailing_axes(self):
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(3, 2, 4))
+        got = ad.mean(ad.Tensor(a), 2)
+        assert got.shape == (3,)
+        for i in range(3):
+            assert abs(got.data[i] - a[i].mean()) < 1e-15
+        assert ad.mean(ad.Tensor(a)).shape == ()
+        with pytest.raises(ShapeError):
+            ad.mean(ad.Tensor(a), 4)
+
+    def test_broadcast_values_and_shape_check(self):
+        x = ad.Tensor([[1.0, 2.0]])
+        y = ad.broadcast(x, (3, 4, 2))
+        assert y.shape == (3, 4, 2)
+        assert np.array_equal(y.data, np.broadcast_to(x.data, (3, 4, 2)))
+        with pytest.raises(ShapeError):
+            ad.broadcast(x, (3, 3))
+
+    def test_broadcast_vjp_sums_added_and_stretched_axes(self):
+        rng = np.random.default_rng(33)
+        x0 = ad.Tensor(rng.normal(size=(2, 1, 3)))
+        target = ad.Tensor(rng.normal(size=(4, 2, 5, 3)))
+
+        def f(xv):
+            return ad.mse_loss(ad.tanh(ad.broadcast(xv, (4, 2, 5, 3))), target)
+
+        tape = ad.Tape()
+        with ad.recording(tape):
+            x = tape.watch(x0)
+            loss = f(x)
+        g = ad.backward(loss, x)
+        assert g.shape == (2, 1, 3)
+        assert rel_err(g.data, ad.finite_difference_gradient(f, x0).data) < 1e-5
+
+    def test_sum_of_row_losses_gives_each_row_its_own_gradient(self):
+        rng = np.random.default_rng(35)
+        w = ad.Tensor(rng.normal(size=(3, 4)))
+        b = ad.Tensor(rng.normal(size=3))
+        x0 = rng.normal(size=(5, 4))
+        target = ad.Tensor(rng.normal(size=(5, 3)))
+
+        def row_losses(xv, t):
+            return ad.mse_loss(ad.tanh(ad.forward_affine(xv, w, b)), t, 1)
+
+        tape = ad.Tape()
+        with ad.recording(tape):
+            x = tape.watch(ad.Tensor(x0))
+            losses = row_losses(x, target)
+        g = ad.backward(losses, x, summed=True)
+        for i in range(5):
+            tape_i = ad.Tape()
+            with ad.recording(tape_i):
+                xi = tape_i.watch(ad.Tensor(x0[i]))
+                loss_i = row_losses(xi, ad.Tensor(target.data[i]))
+            # a batched matmul may round differently from a matrix-vector product
+            assert abs(loss_i.item() - losses.data[i]) <= 1e-12 * loss_i.item()
+            assert rel_err(g.data[i], ad.backward(loss_i, xi).data) < 1e-12
+
+
+class TestTracking:
+    def test_untracked_weights_are_not_differentiable(self):
+        tape = ad.Tape()
+        w = ad.Tensor([[1.0, 2.0]])
+        (x,) = watched(tape, [0.5, -0.5])
+        with ad.recording(tape):
+            loss = ad.mean(ad.forward_affine(x, w, ad.Tensor([0.0])))
+        assert tape.records[0].needs == (True, False, False)
+        with pytest.raises(LineageError):
+            ad.backward(loss, w)
+
+    def test_watched_weights_get_their_gradient(self):
+        rng = np.random.default_rng(37)
+        x = ad.Tensor(rng.normal(size=(3, 4)))
+        b = ad.Tensor(rng.normal(size=2))
+        target = ad.Tensor(rng.normal(size=(3, 2)))
+        w0 = ad.Tensor(rng.normal(size=(2, 4)))
+
+        def f(wv):
+            return ad.mse_loss(ad.tanh(ad.forward_affine(x, wv, b)), target)
+
+        tape = ad.Tape()
+        with ad.recording(tape):
+            w = tape.watch(w0)
+            loss = f(w)
+        g = ad.backward(loss, w)
+        assert rel_err(g.data, ad.finite_difference_gradient(f, w0).data) < 1e-5
+
+    def test_ops_on_untracked_inputs_are_not_recorded(self):
+        tape = ad.Tape()
+        (x,) = watched(tape, [1.0, 2.0])
+        with ad.recording(tape):
+            const = ad.tanh(ad.Tensor([0.3, 0.4]))
+            loss = ad.mse_loss(x, const)
+        assert [rec.op for rec in tape.records] == ["sqdiff", "mean"]
+        assert const._tape is None
+        assert tape.records[0].needs == (True, False)
+        assert np.array_equal(ad.backward(loss, x).data, x.data - const.data)
+
+
+class TestTapeLifetime:
+    def test_tape_freed_by_reference_counting(self):
+        # tensors refer to their tape weakly, so a tape is no reference cycle
+        tape = ad.Tape()
+        (x,) = watched(tape, [1.0, 2.0])
+        with ad.recording(tape):
+            loss = ad.mse_loss(ad.tanh(x), ad.Tensor([0.0, 0.0]))
+        assert loss._tape is tape
+        alive = weakref.ref(tape)
+        gc.disable()
+        try:
+            del tape
+            assert alive() is None
+        finally:
+            gc.enable()
+        with pytest.raises(LineageError):
+            ad.backward(loss, x)
 
 
 class TestTapeRecords:

@@ -109,6 +109,31 @@ class TestHmm:
             assert any(out is pm.gradient for pm in per)
 
 
+    def test_rows_choose_independently(self):
+        rng = np.random.default_rng(29)
+        per = [pmg(j, rng.uniform(size=6), rng.normal(size=(6, 3))) for j in range(3)]
+        per[2].loss_value[0] = per[1].loss_value[0] = -1.0  # tie in row 0: lowest id wins
+        out = aggregate_hmm(per)
+        picks = set()
+        for i in range(6):
+            single = aggregate_hmm([pmg(pm.model_id, float(pm.loss_value[i]),
+                                        pm.gradient.data[i]) for pm in per])
+            assert np.array_equal(out.data[i], single.data)
+            picks.add(next(pm.model_id for pm in per
+                           if np.array_equal(pm.gradient.data[i], single.data)))
+        assert np.array_equal(out.data[0], per[1].gradient.data[0])
+        assert len(picks) > 1
+
+    def test_one_model_winning_every_row_returns_its_gradient(self):
+        per = [pmg(0, np.array([0.5, 0.7]), [[1.0], [2.0]]),
+               pmg(1, np.array([0.2, 0.3]), [[3.0], [4.0]])]
+        assert aggregate_hmm(per) is per[1].gradient
+
+    def test_loss_rows_must_lead_gradient(self):
+        with pytest.raises(ShapeError):
+            aggregate_hmm([pmg(0, np.array([0.1, 0.2, 0.3]), [[1.0], [2.0]])])
+
+
 class TestGradientEnsemble:
     def test_arithmetic_example(self):
         out = aggregate_gradient_ensemble([pmg(0, 0.1, [2.0, 0.0]), pmg(1, 0.2, [0.0, 4.0])])
@@ -170,6 +195,14 @@ class TestNormalized:
         per = [pmg(0, 0.1, g), pmg(1, 0.2, 5.0 * g)]
         out = aggregate_normalized(per)
         assert abs(np.linalg.norm(out.data) - 2.0) < 1e-12
+
+
+    def test_rows_normalized_independently(self):
+        g0 = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+        g1 = np.array([[0.0, 2.0], [0.0, 5.0], [0.0, 1e-14]])
+        out = aggregate_normalized([pmg(0, np.zeros(3), g0), pmg(1, np.zeros(3), g1)])
+        want = np.array([[0.6, 1.8], [0.0, 1.0], [1.0, 0.0]])
+        assert np.max(np.abs(out.data - want)) < 1e-15
 
 
 class TestBiasDemonstration:

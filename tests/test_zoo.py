@@ -175,6 +175,32 @@ class TestGenerate:
             model.generate(bad, attr_for(model))
 
 
+class TestBatchAxes:
+    def test_stack_rows_match_single_calls(self, model):
+        images = generate_dataset(seed=12, count=3, shape=model.dims.image_shape)
+        rng = np.random.default_rng(13)
+        attrs = [[zoo.sample_attribute(model, rng) for _ in range(2)] for _ in range(3)]
+        X = Tensor(np.stack([x.data for x in images.images]))
+        C = Tensor(np.stack([[c.data for c in row] for row in attrs]))
+        Z = model.encode(X)
+        assert Z.shape == (3,) + model.latent_spec.shape
+        Zk = Tensor(np.repeat(Z.data[:, None], 2, axis=1))
+        Y = model.generate(Zk, C)
+        assert Y.shape == (3, 2) + model.dims.image_shape
+        for i in range(3):
+            z = model.encode(images[i])
+            assert rel_err(Z.data[i], z.data) < 1e-12
+            for k in range(2):
+                y = model.generate(z, attrs[i][k])
+                assert rel_err(Y.data[i, k], y.data) < 1e-12
+
+    def test_mismatched_leading_axes_rejected(self, model):
+        z = model.encode(Tensor(np.zeros((2,) + model.dims.image_shape)))
+        c = attr_for(model)
+        with pytest.raises(ShapeError):
+            model.generate(z, Tensor(np.stack([c.data] * 3)))
+
+
 class TestConditionalBehavior:
     def test_attribute_sensitivity(self, model):
         z = model.encode(source_image(7))
