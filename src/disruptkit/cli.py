@@ -14,30 +14,40 @@ import click
 import numpy as np
 
 from .attacks import build_gradient_provider, run_attack
-from .config import OBJECTIVE_KINDS, SCENARIOS, load_config
+from .config import OBJECTIVE_KINDS, load_config, parse_config
 from .errors import ConfigError
 from .harness import (
     _build_objective,
-    _load_images,
     build_world,
     emit_reports,
     run_experiment,
     write_report,
 )
 from .metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
-from .zoo import build_model, sample_attribute_set
+# not called here; bench/tracing.py wraps these names in each module that binds them
+from .zoo import build_model, sample_attribute_set  # noqa: F401
 
 
 def _apply_overrides(config, seed_override, scenario):
+    """The config with the flags applied, read again so they pass the same checks."""
+    if seed_override is None and scenario is None:
+        return config
+    raw = config.normalized()
     if seed_override is not None:
-        config = replace(config, attack=replace(config.attack, seed=seed_override))
+        raw["attack"]["seed"] = seed_override
     if scenario is not None:
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-        if scenario == "black_box" and config.holdout_model is None:
-            raise ConfigError("black_box scenario requires holdout_model")
-        config = replace(config, scenarios=(scenario,))
-    return config
+        raw["scenarios"] = [scenario]
+    return parse_config(raw)
+
+
+def _write_json(payload, out_path) -> None:
+    """Strict, sorted JSON to ``out_path`` (whose name is echoed), or to stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if out_path is None:
+        click.echo(text, nl=False)
+    else:
+        Path(out_path).write_text(text)
+        click.echo(str(out_path))
 
 
 def _guarded(fn):
@@ -104,12 +114,7 @@ def attack(config_path, out_path, image_index, method, seed_override):
             "shape": list(eta.shape),
             "eta": [repr(float(v)) for v in eta.data.reshape(-1)],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if out_path is None:
-            click.echo(text, nl=False)
-        else:
-            Path(out_path).write_text(text)
-            click.echo(str(out_path))
+        _write_json(payload, out_path)
 
     _guarded(body)
 
@@ -125,7 +130,7 @@ def calibrate(config_path, out_path, pairs):
         config = load_config(config_path)
         if pairs < 1:
             raise ConfigError(f"pairs must be >= 1, got {pairs}")
-        dataset = _load_images(config)
+        models, pools, dataset = build_world(config)
         if len(dataset) < 2:
             raise ConfigError("calibration needs at least 2 images")
         pixels = int(np.prod(config.dataset.image_shape))
@@ -134,10 +139,8 @@ def calibrate(config_path, out_path, pairs):
         rng = np.random.default_rng([config.metrics_seed, 2])
         quantiles = [0.1, 0.25, 0.5, 0.75, 0.9]
         out = {"pairs": pairs, "quantiles": quantiles, "models": {}}
-        for index, spec in enumerate(config.models):
-            model = build_model(spec.archetype, spec.seed, spec.dims, name=spec.name)
-            pool = sample_attribute_set(model, 1, 0, [config.attribute_seed, index])
-            c = pool.known[0]
+        for name, model in models.items():
+            c = pools[name].known[0]
             dists = {"l2": [], "id": [], "lpips": []}
             for _ in range(pairs):
                 i, j = rng.choice(len(dataset), size=2, replace=False)
@@ -146,16 +149,11 @@ def calibrate(config_path, out_path, pairs):
                 dists["l2"].append(l2_image(ya, yb))
                 dists["id"].append(id_distance(ya, yb, id_emb))
                 dists["lpips"].append(perceptual_distance(ya, yb, lp_emb))
-            out["models"][spec.name] = {
+            out["models"][name] = {
                 metric: [float(q) for q in np.quantile(values, quantiles)]
                 for metric, values in dists.items()
             }
-        text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-        if out_path is None:
-            click.echo(text, nl=False)
-        else:
-            Path(out_path).write_text(text)
-            click.echo(str(out_path))
+        _write_json(out, out_path)
 
     _guarded(body)
 

@@ -1,13 +1,16 @@
 """Experiment configuration: one JSON document drives the whole pipeline.
 
-Loading is strict: unknown keys, bad names, and inconsistent shapes are
-rejected up front with `ConfigError` so a run never fails halfway in. The
-parsed object is normalized back to a canonical dict for echoing, which keeps
-rerun comparisons byte-stable.
+Loading is strict: every JSON object is read against one table of field
+kinds, so unknown keys, wrongly typed values, bad names and inconsistent
+shapes are rejected up front with a `ConfigError` naming the field, and a
+run never fails halfway in. Defaults live in the dataclasses the fields
+fill. The parsed object is normalized back to a canonical dict for echoing,
+which keeps rerun comparisons byte-stable.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .attacks import AttackConfig
@@ -19,9 +22,7 @@ from .zoo import ARCHETYPES, ModelDims
 SCHEMA_VERSION = 1
 SCENARIOS = ("white_box", "gray_box", "black_box")
 OBJECTIVE_KINDS = ("image_attack", "leat")
-
-_DIM_KEYS = ("image_shape", "latent_dim", "latent_shape", "encoder_hidden",
-             "generator_hidden", "attribute_dim", "refine_steps")
+DATASET_KINDS = ("synthetic", "directory")
 
 
 @dataclass(frozen=True)
@@ -45,184 +46,206 @@ class DatasetSpec:
     path: str | None = None
 
 
+# JSON "attributes" key -> ExperimentConfig field
+_ATTRIBUTE_FIELDS = {"known": "n_known", "unknown": "n_unknown", "seed": "attribute_seed"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     models: tuple[ModelSpec, ...]
-    attack: AttackConfig
-    objectives: tuple[str, ...]
-    ensemble: EnsembleStrategy
-    n_known: int
-    n_unknown: int
-    attribute_seed: int
-    dataset: DatasetSpec
-    scenarios: tuple[str, ...]
-    holdout_model: str | None
-    thresholds: MetricThresholds
-    metrics_seed: int
-    parallel_workers: int  # schema-1 key, validated and echoed; attacks always run serially
-    output_dir: str
+    attack: AttackConfig = field(default_factory=AttackConfig)
+    objectives: tuple[str, ...] = OBJECTIVE_KINDS
+    ensemble: EnsembleStrategy = field(default_factory=EnsembleStrategy)
+    n_known: int = 5
+    n_unknown: int = 5
+    attribute_seed: int = 0
+    dataset: DatasetSpec = field(default_factory=DatasetSpec)
+    scenarios: tuple[str, ...] = ("white_box", "gray_box")
+    holdout_model: str | None = None
+    thresholds: MetricThresholds = field(default_factory=MetricThresholds)
+    metrics_seed: int = 0
+    parallel_workers: int = 1  # schema-1 key, validated and echoed; attacks always run serially
+    output_dir: str = "out"
 
     def attack_model_names(self) -> tuple[str, ...]:
         """Models the perturbation is built against; the holdout never appears."""
         return tuple(m.name for m in self.models if m.name != self.holdout_model)
 
     def normalized(self) -> dict:
-        """Canonical dict with every default filled in, for config_echo.json."""
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "models": [
-                {
-                    "name": m.name,
-                    "archetype": m.archetype,
-                    "seed": m.seed,
-                    "dims": {
-                        "image_shape": list(m.dims.image_shape),
-                        "latent_dim": m.dims.latent_dim,
-                        "latent_shape": (None if m.dims.latent_shape is None
-                                         else list(m.dims.latent_shape)),
-                        "encoder_hidden": m.dims.encoder_hidden,
-                        "generator_hidden": m.dims.generator_hidden,
-                        "attribute_dim": m.dims.attribute_dim,
-                        "refine_steps": m.dims.refine_steps,
-                    },
-                }
-                for m in self.models
-            ],
-            "attack": {
-                "epsilon": self.attack.epsilon,
-                "step_a": self.attack.step_a,
-                "iterations": self.attack.iterations,
-                "random_init": self.attack.random_init,
-                "seed": self.attack.seed,
-            },
-            "objectives": list(self.objectives),
-            "ensemble": {
-                "kind": self.ensemble.kind,
-                "weights_omega": (None if self.ensemble.weights_omega is None
-                                  else list(self.ensemble.weights_omega)),
-            },
-            "attributes": {
-                "known": self.n_known,
-                "unknown": self.n_unknown,
-                "seed": self.attribute_seed,
-            },
-            "dataset": (
-                {"kind": "directory", "path": self.dataset.path}
-                if self.dataset.kind == "directory"
-                else {
-                    "kind": "synthetic",
-                    "seed": self.dataset.seed,
-                    "count": self.dataset.count,
-                    "image_shape": list(self.dataset.image_shape),
-                }
-            ),
-            "scenarios": list(self.scenarios),
-            "holdout_model": self.holdout_model,
-            "thresholds": {
-                "l2": self.thresholds.l2,
-                "id": self.thresholds.id,
-                "lpips": self.thresholds.lpips,
-            },
-            "metrics_seed": self.metrics_seed,
-            "parallel_workers": self.parallel_workers,
-            "output_dir": self.output_dir,
-        }
+        """Canonical dict with every default filled in, for config_echo.json.
+
+        It is the JSON shape `parse_config` reads, and reads back to an equal config.
+        """
+        out = _plain(asdict(self))
+        out["schema_version"] = SCHEMA_VERSION
+        out["attributes"] = {key: out.pop(name) for key, name in _ATTRIBUTE_FIELDS.items()}
+        path = out["dataset"].pop("path")
+        if self.dataset.kind == "directory":
+            out["dataset"] = {"kind": "directory", "path": path}
         return out
 
 
-def _reject_unknown(mapping: dict, allowed, context: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {context}: {unknown}")
-
-
-def _require_int(value, context: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{context} must be >= {minimum}, got {value}")
+def _plain(value):
+    """Dataclass dump with tuples as lists, as JSON writes them."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     return value
 
 
-def _parse_dims(raw: dict, context: str) -> ModelDims:
-    _reject_unknown(raw, _DIM_KEYS, context)
-    kwargs = dict(raw)
-    if "image_shape" in kwargs:
-        kwargs["image_shape"] = tuple(kwargs["image_shape"])
-    if kwargs.get("latent_shape") is not None:
-        kwargs["latent_shape"] = tuple(kwargs["latent_shape"])
-    return ModelDims(**kwargs)
+# -- field kinds: each checks one JSON value and returns what the config holds
+
+def _integer(minimum: int = 0):
+    def read(value, where):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+        return value
+    return read
 
 
-def _parse_model(raw: dict, index: int) -> ModelSpec:
-    context = f"models[{index}]"
+def _number(value, where) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _flag(value, where) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, where) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _one_of(options: tuple):
+    def read(value, where):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ConfigError(f"{where} must be one of {options}, got {value!r}")
+        return value
+    return read
+
+
+def _list(item, length: int | None = None, unique: bool = False):
+    def read(value, where) -> tuple:
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            shape = "a non-empty list" if length is None else f"a list of {length} entries"
+            raise ConfigError(f"{where} must be {shape}, got {value!r}")
+        items = tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+        if unique and len(set(items)) != len(items):
+            raise ConfigError(f"{where} must not repeat entries, got {value!r}")
+        return items
+    return read
+
+
+def _optional(kind):
+    return lambda value, where: None if value is None else kind(value, where)
+
+
+def _object(kinds: dict, build=dict):
+    def read(value, where):
+        fields = _read(value, where, kinds)
+        try:
+            return build(**fields)
+        except ConfigError as exc:  # a rule of the dataclass; say which object broke it
+            raise ConfigError(f"{where}: {exc}") from None
+    return read
+
+
+def _read(raw, where: str, kinds: dict) -> dict:
+    """Check one JSON object against its table of kinds; return the fields it sets.
+
+    ``where`` is the object's path in the config ("" for the root).
+    """
     if not isinstance(raw, dict):
-        raise ConfigError(f"{context} must be an object, got {type(raw).__name__}")
-    _reject_unknown(raw, ("name", "archetype", "seed", "dims"), context)
-    archetype = raw.get("archetype")
-    if archetype not in ARCHETYPES:
-        raise ConfigError(f"{context}: archetype must be one of {ARCHETYPES}, got {archetype!r}")
-    seed = _require_int(raw.get("seed", index), f"{context}.seed")
-    name = raw.get("name", f"{archetype}_{seed}")
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{context}: name must be a non-empty string")
-    dims = _parse_dims(raw.get("dims", {}), f"{context}.dims")
-    return ModelSpec(name=name, archetype=archetype, seed=seed, dims=dims)
+        raise ConfigError(f"{where or 'config root'} must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'config'}: {unknown}")
+    return {key: kinds[key](value, f"{where}.{key}" if where else key)
+            for key, value in raw.items()}
 
 
-def _parse_attack(raw: dict) -> AttackConfig:
-    _reject_unknown(raw, ("epsilon", "step_a", "iterations", "random_init", "seed"), "attack")
-    kwargs = dict(raw)
-    if "seed" in kwargs:
-        kwargs["seed"] = _require_int(kwargs["seed"], "attack.seed")
-    if "iterations" in kwargs:
-        kwargs["iterations"] = _require_int(kwargs["iterations"], "attack.iterations", minimum=1)
-    return AttackConfig(**kwargs)
+def _required(fields: dict, key: str, where: str):
+    if key not in fields:
+        raise ConfigError(f"{where}.{key} is required")
+    return fields[key]
 
 
-def _parse_dataset(raw: dict, image_shape: tuple[int, ...]) -> DatasetSpec:
-    kind = raw.get("kind", "synthetic")
-    if kind == "synthetic":
-        _reject_unknown(raw, ("kind", "seed", "count", "image_shape"), "dataset")
-        shape = tuple(raw.get("image_shape", image_shape))
-        if shape != image_shape:
-            raise ConfigError(
-                f"dataset image_shape {shape} does not match model image_shape {image_shape}")
-        return DatasetSpec(
-            kind="synthetic",
-            seed=_require_int(raw.get("seed", 0), "dataset.seed"),
-            count=_require_int(raw.get("count", 500), "dataset.count", minimum=1),
-            image_shape=shape,
-        )
-    if kind == "directory":
-        _reject_unknown(raw, ("kind", "path"), "dataset")
-        path = raw.get("path")
-        if not isinstance(path, str) or not path:
-            raise ConfigError("dataset.path must be a non-empty string for kind 'directory'")
-        return DatasetSpec(kind="directory", seed=0, count=0,
-                           image_shape=image_shape, path=path)
-    raise ConfigError(f"dataset.kind must be 'synthetic' or 'directory', got {kind!r}")
+_SHAPE = _list(_integer(1), length=3)
+_DIMS = {
+    "image_shape": _SHAPE,
+    "latent_dim": _integer(1),
+    "latent_shape": _optional(_SHAPE),
+    "encoder_hidden": _integer(1),
+    "generator_hidden": _integer(1),
+    "attribute_dim": _integer(1),
+    "refine_steps": _integer(0),
+}
+_MODEL = {
+    "name": _text,
+    "archetype": _one_of(ARCHETYPES),
+    "seed": _integer(),
+    "dims": _object(_DIMS, ModelDims),
+}
+_ATTACK = {
+    "epsilon": _number,
+    "step_a": _number,
+    "iterations": _integer(1),
+    "random_init": _flag,
+    "seed": _integer(),
+}
+_ENSEMBLE = {"kind": _text, "weights_omega": _optional(_list(_number))}
+_ATTRIBUTES = {"known": _integer(1), "unknown": _integer(), "seed": _integer()}
+_SYNTHETIC = {"kind": _one_of(DATASET_KINDS), "seed": _integer(), "count": _integer(1),
+              "image_shape": _SHAPE}
+_DIRECTORY = {"kind": _one_of(DATASET_KINDS), "path": _text}
+_THRESHOLDS = {"l2": _number, "id": _number, "lpips": _number}
 
 
-_TOP_KEYS = ("schema_version", "models", "attack", "objectives", "ensemble",
-             "attributes", "dataset", "scenarios", "holdout_model",
-             "thresholds", "metrics_seed", "parallel_workers", "output_dir")
+def _dataset(value, where) -> dict:
+    directory = isinstance(value, dict) and value.get("kind") == "directory"
+    return _read(value, where, _DIRECTORY if directory else _SYNTHETIC)
+
+
+_CONFIG = {
+    "schema_version": _one_of((SCHEMA_VERSION,)),
+    "models": _list(_object(_MODEL)),
+    "attack": _object(_ATTACK, AttackConfig),
+    "objectives": _list(_one_of(OBJECTIVE_KINDS), unique=True),
+    "ensemble": _object(_ENSEMBLE, EnsembleStrategy),
+    "attributes": _object(_ATTRIBUTES),
+    "dataset": _dataset,
+    "scenarios": _list(_one_of(SCENARIOS), unique=True),
+    "holdout_model": _optional(_text),
+    "thresholds": _object(_THRESHOLDS, MetricThresholds),
+    "metrics_seed": _integer(),
+    "parallel_workers": _integer(1),
+    "output_dir": _text,
+}
+
+
+def _model(fields: dict, index: int) -> ModelSpec:
+    archetype = _required(fields, "archetype", f"models[{index}]")
+    seed = fields.get("seed", index)
+    return ModelSpec(**{"name": f"{archetype}_{seed}", "seed": seed, **fields})
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a JSON-shaped mapping and fill in defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}")
-
-    raw_models = raw.get("models")
-    if not isinstance(raw_models, list) or not raw_models:
-        raise ConfigError("config.models must be a non-empty list")
-    models = tuple(_parse_model(m, i) for i, m in enumerate(raw_models))
+    fields = _read(raw, "", _CONFIG)
+    fields.pop("schema_version", None)
+    models = tuple(_model(m, i) for i, m in enumerate(_required(fields, "models", "config")))
     names = [m.name for m in models]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -234,82 +257,37 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"all models must share one image_shape; {m.name} has {m.dims.image_shape},"
                 f" expected {image_shape}")
 
-    attack = _parse_attack(raw.get("attack", {}))
+    dataset = fields.get("dataset", {})
+    if dataset.get("kind") == "directory":
+        dataset = DatasetSpec(kind="directory", count=0, image_shape=image_shape,
+                              path=_required(dataset, "path", "dataset"))
+    else:
+        if dataset.setdefault("image_shape", image_shape) != image_shape:
+            raise ConfigError(
+                f"dataset image_shape {dataset['image_shape']} does not match"
+                f" model image_shape {image_shape}")
+        dataset = DatasetSpec(**dataset)
 
-    objectives = raw.get("objectives", list(OBJECTIVE_KINDS))
-    if not isinstance(objectives, list) or not objectives:
-        raise ConfigError("config.objectives must be a non-empty list")
-    for kind in objectives:
-        if kind not in OBJECTIVE_KINDS:
-            raise ConfigError(f"objectives entries must be in {OBJECTIVE_KINDS}, got {kind!r}")
-    if len(set(objectives)) != len(objectives):
-        raise ConfigError("config.objectives must not repeat entries")
+    attributes = {_ATTRIBUTE_FIELDS[key]: v for key, v in fields.pop("attributes", {}).items()}
+    config = ExperimentConfig(**{**fields, **attributes, "models": models, "dataset": dataset})
 
-    raw_ensemble = raw.get("ensemble", {})
-    _reject_unknown(raw_ensemble, ("kind", "weights_omega"), "ensemble")
-    ensemble = EnsembleStrategy(
-        kind=raw_ensemble.get("kind", "normalized_gradient_ensemble"),
-        weights_omega=(tuple(raw_ensemble["weights_omega"])
-                       if raw_ensemble.get("weights_omega") is not None else None),
-    )
-
-    raw_attrs = raw.get("attributes", {})
-    _reject_unknown(raw_attrs, ("known", "unknown", "seed"), "attributes")
-    n_known = _require_int(raw_attrs.get("known", 5), "attributes.known", minimum=1)
-    n_unknown = _require_int(raw_attrs.get("unknown", 5), "attributes.unknown")
-    attribute_seed = _require_int(raw_attrs.get("seed", 0), "attributes.seed")
-
-    dataset = _parse_dataset(raw.get("dataset", {}), image_shape)
-
-    scenarios = raw.get("scenarios", ["white_box", "gray_box"])
-    if not isinstance(scenarios, list) or not scenarios:
-        raise ConfigError("config.scenarios must be a non-empty list")
-    for s in scenarios:
-        if s not in SCENARIOS:
-            raise ConfigError(f"scenarios entries must be in {SCENARIOS}, got {s!r}")
-    if len(set(scenarios)) != len(scenarios):
-        raise ConfigError("config.scenarios must not repeat entries")
-    if "gray_box" in scenarios and n_unknown < 1:
+    if "gray_box" in config.scenarios and config.n_unknown < 1:
         raise ConfigError("gray_box evaluation needs attributes.unknown >= 1")
-
-    holdout = raw.get("holdout_model")
-    if "black_box" in scenarios:
-        if holdout is None:
-            raise ConfigError("black_box scenario requires holdout_model")
+    holdout = config.holdout_model
+    if "black_box" in config.scenarios and holdout is None:
+        raise ConfigError("black_box scenario requires holdout_model")
     if holdout is not None:
         if holdout not in names:
             raise ConfigError(f"holdout_model {holdout!r} is not a configured model")
         if len(models) < 2:
             raise ConfigError("holdout_model requires at least one other model to attack")
 
-    if ensemble.weights_omega is not None:
-        n_attack = len(names) - (1 if holdout is not None else 0)
-        if len(ensemble.weights_omega) != n_attack:
-            raise ConfigError(
-                f"ensemble.weights_omega has {len(ensemble.weights_omega)} entries"
-                f" for {n_attack} attack-time models")
-
-    raw_th = raw.get("thresholds", {})
-    _reject_unknown(raw_th, ("l2", "id", "lpips"), "thresholds")
-    thresholds = MetricThresholds(**raw_th)
-
-    return ExperimentConfig(
-        models=models,
-        attack=attack,
-        objectives=tuple(objectives),
-        ensemble=ensemble,
-        n_known=n_known,
-        n_unknown=n_unknown,
-        attribute_seed=attribute_seed,
-        dataset=dataset,
-        scenarios=tuple(scenarios),
-        holdout_model=holdout,
-        thresholds=thresholds,
-        metrics_seed=_require_int(raw.get("metrics_seed", 0), "metrics_seed"),
-        parallel_workers=_require_int(raw.get("parallel_workers", 1),
-                                      "parallel_workers", minimum=1),
-        output_dir=str(raw.get("output_dir", "out")),
-    )
+    weights = config.ensemble.weights_omega
+    if weights is not None and len(weights) != len(config.attack_model_names()):
+        raise ConfigError(
+            f"ensemble.weights_omega has {len(weights)} entries"
+            f" for {len(config.attack_model_names())} attack-time models")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

@@ -129,6 +129,60 @@ def test_run_non_finite_config_value_exits_1(runner, tmp_path, section, key, val
     assert token in result.output and str(cfg) in result.output
 
 
+def _set(raw, path, value):
+    *parents, last = path
+    for key in parents:
+        raw = raw[key] if isinstance(key, int) else raw.setdefault(key, {})
+    raw[last] = value
+
+
+@pytest.mark.parametrize("path, value, field", [
+    # wrongly typed values that used to fail later with a raw Python error
+    (("attack", "epsilon"), "0.05", "attack.epsilon"),
+    (("thresholds", "l2"), "x", "thresholds.l2"),
+    (("models", 0, "dims", "latent_dim"), "12", "models[0].dims.latent_dim"),
+    (("models", 0, "dims", "latent_dim"), 12.5, "models[0].dims.latent_dim"),
+    (("models", 0, "dims", "image_shape"), 8, "models[0].dims.image_shape"),
+    (("dataset", "image_shape"), 8, "dataset.image_shape"),
+    (("ensemble",), [], "ensemble"),
+    (("attributes",), [], "attributes"),
+    (("dataset",), [], "dataset"),
+    (("thresholds",), [], "thresholds"),
+    (("attributes",), None, "attributes"),
+    (("attack",), None, "attack"),
+    # wrongly typed values that used to be accepted
+    (("attack", "random_init"), "no", "attack.random_init"),
+    (("attack", "random_init"), 0, "attack.random_init"),
+    (("attack", "step_a"), True, "attack.step_a"),
+    (("thresholds", "id"), True, "thresholds.id"),
+    (("models", 0, "dims", "refine_steps"), True, "models[0].dims.refine_steps"),
+    (("models", 0, "dims"), [], "models[0].dims"),
+    (("output_dir",), 5, "output_dir"),
+    (("models", 0, "dims", "image_shape"), [8.5, 8, 1], "models[0].dims.image_shape[0]"),
+    (("dataset", "image_shape"), [8.0, 8, 1], "dataset.image_shape[0]"),
+    (("schema_version",), True, "schema_version"),
+])
+def test_run_malformed_config_exits_1(runner, tmp_path, path, value, field):
+    raw = _config_dict()
+    _set(raw, path, value)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    result = runner.invoke(main, ["run", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert f"config error: {field} must" in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "attack", "project"])
+def test_negative_seed_override_exits_1(runner, tmp_path, command):
+    cfg = _write_config(tmp_path)
+    result = runner.invoke(main, [command, "--config", str(cfg),
+                                  "--out", str(tmp_path / "out"), "--seed-override", "-1"])
+    assert result.exit_code == 1, result.output
+    assert "attack.seed must be >= 0" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_runtime_failure_exits_2(runner, tmp_path):
     # dataset path that exists but is a file: surfaces as an OS-level error
     blocker = tmp_path / "blocker"

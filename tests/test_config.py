@@ -158,6 +158,14 @@ class TestCrossFieldRules:
         with pytest.raises(ConfigError, match="image_shape"):
             parse_config(raw)
 
+    def test_dataclass_rule_error_names_the_object(self):
+        raw = {"models": [
+            {"archetype": "vec_conditional", "seed": 0},
+            {"archetype": "vec_conditional", "seed": 1, "dims": {"latent_shape": [2, 2, 2]}},
+        ]}
+        with pytest.raises(ConfigError, match=r"models\[1\]\.dims: latent_shape"):
+            parse_config(raw)
+
     def test_directory_dataset_requires_path(self):
         raw = minimal()
         raw["dataset"] = {"kind": "directory"}
@@ -188,3 +196,20 @@ class TestRoundTrip:
         again = parse_config(json.loads(json.dumps(echo)))
         assert again == cfg
         assert again.normalized() == echo
+
+    @pytest.mark.parametrize("raw", [
+        {"models": [{"archetype": "vec_conditional", "seed": 0}],
+         "dataset": {"kind": "directory", "path": "imgs"}},
+        {"models": [{"archetype": "vec_conditional", "seed": 0,
+                     "dims": {"latent_dim": 12, "latent_shape": [2, 2, 3]}}],
+         "ensemble": {"kind": "loss_ensemble", "weights_omega": [2]}},
+    ])
+    def test_normalized_echo_round_trips_every_shape(self, raw):
+        cfg = parse_config(raw)
+        echo = cfg.normalized()
+        assert parse_config(json.loads(json.dumps(echo))) == cfg
+        if cfg.dataset.kind == "directory":
+            assert echo["dataset"] == {"kind": "directory", "path": "imgs"}
+        else:
+            assert echo["models"][0]["dims"]["latent_shape"] == [2, 2, 3]
+            assert echo["ensemble"]["weights_omega"] == [2.0]
