@@ -35,6 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .dataset import stack_axes
 from .ensembles import EnsembleStrategy, PerModelGradient, aggregate
 from .errors import ConfigError, InvariantError, ShapeError
 from .objectives import Objective
@@ -51,9 +52,6 @@ __all__ = [
 GradientProvider = Callable[[Tensor], Tensor]
 
 BUDGET_SLACK = 1e-12
-
-# images are [H, W, C]; axes of X before those index the images of a stack
-IMAGE_RANK = 3
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def _random_start(config: AttackConfig, shape: tuple[int, ...]) -> np.ndarray:
     A single image (no stack axes) draws from config.seed alone, so image i
     of a stack starts exactly where a one-image attack seeded (seed, i) does.
     """
-    lead = shape[:max(len(shape) - IMAGE_RANK, 0)]
+    lead = stack_axes(shape)
     entropy = config.seed_entropy()
     starts = [np.random.default_rng(entropy + list(index)).uniform(
                   -config.epsilon, config.epsilon, size=shape[len(lead):])

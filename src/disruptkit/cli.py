@@ -14,6 +14,7 @@ import click
 import numpy as np
 
 from .attacks import build_gradient_provider, run_attack
+from .autodiff import Tensor
 from .config import OBJECTIVE_KINDS, load_config, parse_config
 from .errors import ConfigError
 from .harness import (
@@ -24,6 +25,7 @@ from .harness import (
     write_report,
 )
 from .metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
+from .objectives import attribute_outputs
 # not called here; bench/tracing.py wraps these names in each module that binds them
 from .zoo import build_model, sample_attribute_set  # noqa: F401
 
@@ -46,7 +48,10 @@ def _write_json(payload, out_path) -> None:
     if out_path is None:
         click.echo(text, nl=False)
     else:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
         click.echo(str(out_path))
 
 
@@ -137,18 +142,16 @@ def calibrate(config_path, out_path, pairs):
         id_emb = SurrogateEmbedder([config.metrics_seed, 0], pixels)
         lp_emb = SurrogateEmbedder([config.metrics_seed, 1], pixels)
         rng = np.random.default_rng([config.metrics_seed, 2])
+        images = np.stack([image.data for image in dataset.images])
         quantiles = [0.1, 0.25, 0.5, 0.75, 0.9]
         out = {"pairs": pairs, "quantiles": quantiles, "models": {}}
         for name, model in models.items():
-            c = pools[name].known[0]
-            dists = {"l2": [], "id": [], "lpips": []}
-            for _ in range(pairs):
-                i, j = rng.choice(len(dataset), size=2, replace=False)
-                ya = model.full_forward(dataset[int(i)], c)
-                yb = model.full_forward(dataset[int(j)], c)
-                dists["l2"].append(l2_image(ya, yb))
-                dists["id"].append(id_distance(ya, yb, id_emb))
-                dists["lpips"].append(perceptual_distance(ya, yb, lp_emb))
+            drawn = np.array([rng.choice(len(dataset), size=2, replace=False)
+                              for _ in range(pairs)])
+            outputs = attribute_outputs(model, pools[name].known[:1], (pairs,))
+            ya, yb = (outputs(model.encode(Tensor._wrap(images[side]))) for side in drawn.T)
+            dists = {"l2": l2_image(ya, yb), "id": id_distance(ya, yb, id_emb),
+                     "lpips": perceptual_distance(ya, yb, lp_emb)}
             out["models"][name] = {
                 metric: [float(q) for q in np.quantile(values, quantiles)]
                 for metric, values in dists.items()

@@ -18,6 +18,8 @@ from .autodiff import Tensor
 from .errors import ConfigError
 
 __all__ = [
+    "IMAGE_RANK",
+    "stack_axes",
     "SyntheticDataset",
     "bump_image",
     "generate_dataset",
@@ -25,6 +27,14 @@ __all__ = [
     "write_pnm",
     "load_dataset_from_directory",
 ]
+
+
+IMAGE_RANK = 3  # an image is the trailing [H, W, C] of an array
+
+
+def stack_axes(shape: Sequence[int]) -> tuple[int, ...]:
+    """The sizes of the axes before the trailing image: () for one image or lower rank."""
+    return tuple(shape[:max(len(shape) - IMAGE_RANK, 0)])
 
 
 def bump_image(rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
@@ -107,6 +117,13 @@ def _read_tokens(blob: bytes, n: int, pos: int) -> tuple[list[bytes], int]:
     return out, pos
 
 
+def _integers(path: Path, tokens: list[bytes]) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: PNM number is not an integer ({exc})") from None
+
+
 def read_pnm(path) -> np.ndarray:
     """Load a PGM (P2/P5) or PPM (P3/P6) image, normalized to [0,1].
 
@@ -118,14 +135,14 @@ def read_pnm(path) -> np.ndarray:
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise ConfigError(f"{path}: unsupported PNM magic {magic!r}")
     channels = 3 if magic in (b"P3", b"P6") else 1
-    (w_tok, h_tok, max_tok), pos = _read_tokens(blob, 3, pos)
-    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+    header, pos = _read_tokens(blob, 3, pos)
+    width, height, maxval = _integers(path, header)
     if width < 1 or height < 1 or maxval < 1 or maxval > 65535:
         raise ConfigError(f"{path}: invalid PNM dimensions {width}x{height} max {maxval}")
     count = width * height * channels
     if magic in (b"P2", b"P3"):
         toks, _ = _read_tokens(blob, count, pos)
-        flat = np.array([int(t) for t in toks], dtype=np.float64)
+        flat = np.array(_integers(path, toks), dtype=np.float64)
     else:
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")

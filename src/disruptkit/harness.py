@@ -74,13 +74,6 @@ class EvaluationReport:
     parameter_ratio: dict
     etas: dict
 
-    def flags_by_model(self, scenario: str, method: str) -> dict:
-        out: dict[str, list[bool]] = {}
-        for row in self.rows:
-            if row.scenario == scenario and row.method == method:
-                out.setdefault(row.model, []).append(row.success)
-        return out
-
 
 def _load_images(config: ExperimentConfig) -> SyntheticDataset:
     spec = config.dataset
@@ -147,7 +140,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
     # -- attack phase: one eta per (method, image), holdout never touched ----
     n_images = len(dataset)
     X = Tensor._wrap(np.stack([image.data for image in dataset.images]))
-    x_adv = {}
+    groups = {"clean": X}  # the input stacks every model encodes for evaluation
     etas = {}
     runtime = {}
     for method in config.objectives:
@@ -157,7 +150,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         eta = run_attack(provider, X, config.attack)
         runtime[method] = time.perf_counter() - start
         etas[method] = tuple(Tensor._wrap(row) for row in eta.data)
-        x_adv[method] = Tensor._wrap(X.data + eta.data)
+        groups[method] = Tensor._wrap(X.data + eta.data)
     attack_counters = {
         name: {"encode_calls": m.counters.encode_calls,
                "generate_calls": m.counters.generate_calls}
@@ -169,53 +162,40 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             raise InvariantError(
                 f"holdout model {config.holdout_model!r} was called during the attack: {held}")
 
-    # -- evaluation phase ----------------------------------------------------
+    # -- evaluation phase: each model encodes each input group once ---------
+    latents = {name: {group: model.encode(x) for group, x in groups.items()}
+               for name, model in models.items()}
     pixels = int(np.prod(config.dataset.image_shape))
     id_embedder = SurrogateEmbedder([config.metrics_seed, 0], pixels)
     lp_embedder = SurrogateEmbedder([config.metrics_seed, 1], pixels)
 
     rows = []
     for scenario in config.scenarios:
-        # each (model, pool) pair belongs to one scenario; its clean outputs
-        # [N, K, H, W, C] serve every method
         for model, attrs in _scenario_plan(config, scenario, models, pools):
+            # outputs are [N, K, H, W, C]; each distance is averaged over the K attributes
             outputs = attribute_outputs(model, attrs, (n_images,))
-            y_clean = outputs(model.encode(X)).data
+            y_clean = outputs(latents[model.name]["clean"])
             for method in config.objectives:
-                y_pert = outputs(model.encode(x_adv[method])).data
-                for index in range(n_images):
-                    pairs = list(zip(y_clean[index], y_pert[index]))
-                    l2 = float(np.mean([l2_image(a, b) for a, b in pairs]))
-                    idv = float(np.mean([id_distance(a, b, id_embedder) for a, b in pairs]))
-                    lp = float(np.mean([perceptual_distance(a, b, lp_embedder)
-                                        for a, b in pairs]))
-                    rows.append(EvaluationRow(
-                        scenario=scenario, method=method, model=model.name,
-                        image_index=index, l2=l2, id=idv, lpips=lp,
-                        success=classify_success(l2, idv, lp, config.thresholds)))
+                y_pert = outputs(latents[model.name][method])
+                dists = np.mean([l2_image(y_clean, y_pert),
+                                 id_distance(y_clean, y_pert, id_embedder),
+                                 perceptual_distance(y_clean, y_pert, lp_embedder)], axis=2)
+                for index, values in enumerate(dists.T.tolist()):
+                    rows.append(EvaluationRow(scenario, method, model.name, index, *values,
+                                              classify_success(*values, config.thresholds)))
     rows.sort(key=lambda r: (r.scenario, r.method, r.model, r.image_index))
 
     # -- latent projection ----------------------------------------------------
     latent_rows = []
     separation: dict[str, dict[str, float]] = {}
     for name in sorted(models):
-        model = models[name]
-        stacked = [model.encode(X).data.reshape(n_images, -1)]
-        for method in config.objectives:
-            stacked.append(model.encode(x_adv[method]).data.reshape(n_images, -1))
-        points = pca_project_latents(np.concatenate(stacked))
-        groups = ["clean"] + list(config.objectives)
-        for g, group in enumerate(groups):
-            for index in range(n_images):
-                p = points[g * n_images + index]
-                latent_rows.append(LatentRow(model=name, group=group, image_index=index,
-                                             pc1=float(p[0]), pc2=float(p[1])))
-        clean_pts = points[:n_images]
-        separation[name] = {
-            method: separation_statistic(
-                clean_pts, points[(k + 1) * n_images:(k + 2) * n_images])
-            for k, method in enumerate(config.objectives)
-        }
+        points = pca_project_latents(np.concatenate([z.data for z in latents[name].values()]))
+        points = points.reshape(len(groups), n_images, 2)
+        for group, pts in zip(groups, points):
+            latent_rows.extend(LatentRow(name, group, index, *p)
+                               for index, p in enumerate(pts.tolist()))
+        separation[name] = {method: separation_statistic(points[0], pts)
+                            for method, pts in zip(config.objectives, points[1:])}
 
     return EvaluationReport(
         config=config,
@@ -230,22 +210,23 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
 
 def _aggregates(report: EvaluationReport) -> dict:
-    out: dict[str, dict] = {}
-    for scenario in report.config.scenarios:
-        out[scenario] = {}
-        for method in report.config.objectives:
-            flags = report.flags_by_model(scenario, method)
-            summary = aggregate_dsr(flags)
-            picked = [r for r in report.rows
-                      if r.scenario == scenario and r.method == method]
-            out[scenario][method] = {
-                "per_model_dsr": summary.per_model,
-                "avg_dsr": summary.avg_dsr,
-                "e_dsr": summary.e_dsr,
-                "mean_l2": float(np.mean([r.l2 for r in picked])),
-                "mean_id": float(np.mean([r.id for r in picked])),
-                "mean_lpips": float(np.mean([r.lpips for r in picked])),
-            }
+    picked: dict[tuple[str, str], list[EvaluationRow]] = {}
+    for row in report.rows:
+        picked.setdefault((row.scenario, row.method), []).append(row)
+    out: dict[str, dict] = {scenario: {} for scenario in report.config.scenarios}
+    for (scenario, method), rows in picked.items():
+        flags: dict[str, list[bool]] = {}
+        for r in rows:
+            flags.setdefault(r.model, []).append(r.success)
+        summary = aggregate_dsr(flags)
+        out[scenario][method] = {
+            "per_model_dsr": summary.per_model,
+            "avg_dsr": summary.avg_dsr,
+            "e_dsr": summary.e_dsr,
+            "mean_l2": float(np.mean([r.l2 for r in rows])),
+            "mean_id": float(np.mean([r.id for r in rows])),
+            "mean_lpips": float(np.mean([r.lpips for r in rows])),
+        }
     return out
 
 

@@ -5,8 +5,9 @@ distances run on frozen, seeded random MLPs instead. That preserves the
 protocol's structure (distances plus a threshold-OR success rule) but not
 anyone's absolute numbers, so the thresholds are configurable and a
 calibration routine reports null-sample distributions to set them against.
-All functions are pure numpy over immutable inputs; nothing here records on
-a tape.
+The distances map one image to a float and a stack ``[..., H, W, C]`` to
+an array over its stack axes. All functions are pure numpy over immutable
+inputs; nothing here records on a tape.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import Tensor
+from .dataset import stack_axes
 from .errors import ConfigError, DegenerateEmbeddingError, ShapeError
 
 __all__ = [
@@ -74,16 +76,18 @@ class SurrogateEmbedder:
             fan_in = w
 
     def features(self, image) -> list[np.ndarray]:
-        """Per-layer activations; all layers tanh except the final linear one."""
-        x = _as_array(image).reshape(-1)
-        if x.size != self.input_size:
-            raise ShapeError(f"embedder expects {self.input_size} values, got {x.size}")
+        """Per-layer activations ``[..., width]`` per image; tanh on all but the last."""
+        x = _as_array(image)
+        lead = stack_axes(x.shape)
+        if math.prod(x.shape[len(lead):]) != self.input_size:
+            raise ShapeError(f"embedder expects {self.input_size} values per image, got {x.shape}")
+        x = x.reshape(-1, self.input_size)
         taps = []
         for i, weight in enumerate(self._layers):
-            x = weight @ x
+            x = x @ weight.T
             if i < len(self._layers) - 1:
                 x = np.tanh(x)
-            taps.append(x)
+            taps.append(x.reshape(lead + (weight.shape[0],)))
         return taps
 
     def embed(self, image) -> np.ndarray:
@@ -96,55 +100,53 @@ def _as_array(t) -> np.ndarray:
     return np.asarray(t, dtype=np.float64)
 
 
-def l2_image(y_clean, y_pert) -> float:
+def _pair(y_clean, y_pert) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _as_array(y_clean), _as_array(y_pert)
+    if a.shape != b.shape:
+        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _per_image(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def l2_image(y_clean, y_pert) -> float | np.ndarray:
     """Mean squared pixel difference."""
-    a, b = _as_array(y_clean), _as_array(y_pert)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
+    a, b = _pair(y_clean, y_pert)
     d = a - b
-    return float(np.mean(d * d))
+    image_axes = tuple(range(len(stack_axes(d.shape)), d.ndim))
+    return _per_image(np.mean(d * d, axis=image_axes))
 
 
-def id_distance(y_clean, y_pert, embedder) -> float:
+def id_distance(y_clean, y_pert, embedder) -> float | np.ndarray:
     """1 - cosine similarity of the two embeddings, in [0, 2]."""
-    a, b = _as_array(y_clean), _as_array(y_pert)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
+    a, b = _pair(y_clean, y_pert)
     ea, eb = np.asarray(embedder.embed(a)), np.asarray(embedder.embed(b))
-    na, nb = float(np.linalg.norm(ea)), float(np.linalg.norm(eb))
-    if na == 0.0 or nb == 0.0:
+    na, nb = np.linalg.norm(ea, axis=-1), np.linalg.norm(eb, axis=-1)
+    if np.any(na == 0.0) or np.any(nb == 0.0):
         raise DegenerateEmbeddingError("zero-norm embedding; cosine distance undefined")
-    if np.array_equal(ea, eb):
-        return 0.0  # self-cosine would round to 1 - ulp
-    cos = float(ea @ eb) / (na * nb)
-    cos = min(1.0, max(-1.0, cos))
-    return 1.0 - cos
+    cos = np.clip(np.sum(ea * eb, axis=-1) / (na * nb), -1.0, 1.0)
+    # identical embeddings give exactly 0; self-cosine would round to 1 - ulp
+    return _per_image(np.where(np.all(ea == eb, axis=-1), 0.0, 1.0 - cos))
 
 
-def perceptual_distance(y_clean, y_pert, embedder) -> float:
+def perceptual_distance(y_clean, y_pert, embedder) -> float | np.ndarray:
     """Mean over tapped layers of the unit-normalized feature difference L2.
 
     A zero-norm tap is treated as the zero direction rather than an error,
     so the distance stays defined on degenerate inputs.
     """
-    a, b = _as_array(y_clean), _as_array(y_pert)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    taps_a = embedder.features(a)
-    taps_b = embedder.features(b)
-    dists = []
-    for ta, tb in zip(taps_a, taps_b):
-        ua = _unit_or_zero(np.asarray(ta))
-        ub = _unit_or_zero(np.asarray(tb))
-        dists.append(float(np.linalg.norm(ua - ub)))
-    return float(np.mean(dists))
+    a, b = _pair(y_clean, y_pert)
+    dists = [np.linalg.norm(_unit_or_zero(ta) - _unit_or_zero(tb), axis=-1)
+             for ta, tb in zip(embedder.features(a), embedder.features(b))]
+    return _per_image(np.mean(dists, axis=0))
 
 
 def _unit_or_zero(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        return np.zeros_like(v)
-    return v / n
+    """Each row of ``v`` over its norm; a zero-norm row stays zero."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.divide(v, n, out=np.zeros(np.shape(v)), where=n != 0.0)
 
 
 def classify_success(l2: float, id_loss: float, lpips: float,
@@ -167,21 +169,14 @@ def aggregate_dsr(flags_by_model: Mapping[str, Sequence[bool]]) -> DsrSummary:
     if not flags_by_model:
         raise ConfigError("need at least one model's flags")
     lengths = {name: len(flags) for name, flags in flags_by_model.items()}
-    counts = set(lengths.values())
-    if len(counts) != 1:
+    if len(set(lengths.values())) != 1:
         raise ConfigError(f"inconsistent image counts across models: {lengths}")
-    n = counts.pop()
-    if n == 0:
-        raise ConfigError("need at least one image")
-    per_model = {name: float(np.mean([bool(f) for f in flags]))
-                 for name, flags in flags_by_model.items()}
     stacked = np.array([[bool(f) for f in flags] for flags in flags_by_model.values()])
-    e_dsr = float(np.mean(stacked.all(axis=0)))
-    return DsrSummary(
-        per_model=per_model,
-        avg_dsr=float(np.mean(list(per_model.values()))),
-        e_dsr=e_dsr,
-    )
+    if stacked.size == 0:
+        raise ConfigError("need at least one image")
+    per_model = dict(zip(flags_by_model, stacked.mean(axis=1).tolist()))
+    return DsrSummary(per_model=per_model, avg_dsr=float(np.mean(list(per_model.values()))),
+                      e_dsr=float(np.mean(stacked.all(axis=0))))
 
 
 def pca_project_latents(latents: Sequence, dims: int = 2) -> np.ndarray:

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 
 from disruptkit.cli import main
 from disruptkit.config import load_config
-from disruptkit.harness import run_experiment
+from disruptkit.harness import build_world, run_experiment
+from disruptkit.metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
 
 
 def _config_dict(**overrides):
@@ -273,6 +274,43 @@ def test_calibrate_reports_quantiles(runner, tmp_path):
             assert len(values) == len(payload["quantiles"])
             assert values == sorted(values)
             assert all(v >= 0.0 for v in values)
+
+
+def test_calibrate_matches_per_pair_oracle(runner, tmp_path):
+    # one-image distances on the same seeded pairs, drawn model after model
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "calib.json"
+    result = runner.invoke(main, ["calibrate", "--config", str(cfg),
+                                  "--pairs", "7", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(out.read_text())
+    config = load_config(cfg)
+    models, pools, dataset = build_world(config)
+    id_emb = SurrogateEmbedder([config.metrics_seed, 0], 64)
+    lp_emb = SurrogateEmbedder([config.metrics_seed, 1], 64)
+    rng = np.random.default_rng([config.metrics_seed, 2])
+    for name, model in models.items():
+        c = pools[name].known[0]
+        dists = []
+        for _ in range(7):
+            i, j = rng.choice(len(dataset), size=2, replace=False)
+            ya = model.full_forward(dataset[int(i)], c)
+            yb = model.full_forward(dataset[int(j)], c)
+            dists.append((l2_image(ya, yb), id_distance(ya, yb, id_emb),
+                          perceptual_distance(ya, yb, lp_emb)))
+        for metric, values in zip(("l2", "id", "lpips"), np.transpose(dists)):
+            want = np.quantile(values, payload["quantiles"])
+            got = np.array(payload["models"][name][metric])
+            assert np.max(np.abs(got - want)) <= 1e-12, (name, metric)
+
+
+@pytest.mark.parametrize("command", ["attack", "calibrate"])
+def test_unwritable_out_exits_1(runner, tmp_path, command):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "missing" / "out.json"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"cannot write {out}" in result.output
 
 
 def test_calibrate_bad_pairs_exits_1(runner, tmp_path):

@@ -95,6 +95,18 @@ class TestPnmIO:
         with pytest.raises(ConfigError):
             ds.read_pnm(p)
 
+    @pytest.mark.parametrize("blob", [
+        b"P2\nx 8\n255\n",
+        b"P5\n2 2\n25x\n\x00\x00\x00\x00",
+        b"P2\n2 1\n255\n7 abc\n",
+        b"P3\n1 1\n255\n0 1.5 0\n",
+    ])
+    def test_non_integer_number_rejected(self, tmp_path, blob):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(blob)
+        with pytest.raises(ConfigError, match="bad.pgm.*not an integer"):
+            ds.read_pnm(p)
+
     def test_truncated_pixels_rejected(self, tmp_path):
         p = tmp_path / "short.pgm"
         p.write_bytes(b"P5\n4 4\n255\n\x00\x01")

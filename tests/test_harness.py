@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from disruptkit.config import parse_config
+from disruptkit.autodiff import Tensor
+from disruptkit.config import example_config, parse_config
 from disruptkit.dataset import generate_dataset, write_pnm
 from disruptkit.errors import ConfigError
-from disruptkit.harness import emit_reports, run_experiment
+from disruptkit.harness import build_world, emit_reports, run_experiment
+from disruptkit.metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
 
 
 def _raw(**overrides):
@@ -150,6 +152,34 @@ def test_summary_aggregates_match_csv(report, tmp_path):
             assert agg["mean_id"] == float(np.mean([float(r["id"]) for r in picked]))
             assert agg["mean_lpips"] == float(
                 np.mean([float(r["lpips"]) for r in picked]))
+
+
+def test_rows_match_per_pair_oracle():
+    # each row is the mean over its scenario's pool of the one-image distances
+    # between the clean and the perturbed output
+    config = parse_config(example_config())
+    report = run_experiment(config)
+    models, pools, dataset = build_world(config)
+    id_emb = SurrogateEmbedder([config.metrics_seed, 0], 64)
+    lp_emb = SurrogateEmbedder([config.metrics_seed, 1], 64)
+    pool = {"white_box": "known", "gray_box": "unknown", "black_box": "known"}
+    evaluated = {"white_box": {"vec_a", "refiner_a"}, "gray_box": {"vec_a", "refiner_a"},
+                 "black_box": {"held_out"}}
+    assert {(r.scenario, r.method, r.model, r.image_index) for r in report.rows} == {
+        (s, m, name, i) for s, names in evaluated.items() for name in names
+        for m in config.objectives for i in range(len(dataset))}
+    for row in report.rows:
+        model = models[row.model]
+        X = dataset[row.image_index]
+        x_t = Tensor(X.data + report.etas[row.method][row.image_index].data)
+        dists = []
+        for c in getattr(pools[row.model], pool[row.scenario]):
+            y, y_t = model.full_forward(X, c), model.full_forward(x_t, c)
+            dists.append((l2_image(y, y_t), id_distance(y, y_t, id_emb),
+                          perceptual_distance(y, y_t, lp_emb)))
+        want = np.mean(dists, axis=0)
+        got = np.array([row.l2, row.id, row.lpips])
+        assert np.max(np.abs(got - want)) <= 1e-12, row
 
 
 def test_latent_rows_cover_groups(report):

@@ -114,6 +114,53 @@ class TestPerceptualDistance:
         assert d >= 0.0
 
 
+def stack(seed, shape=(2, 3, 8, 8, 1)):
+    return np.random.default_rng(seed).uniform(size=shape)
+
+
+DISTANCES = {
+    "l2": l2_image,
+    "id": lambda a, b: id_distance(a, b, SurrogateEmbedder([20], 64)),
+    "lpips": lambda a, b: perceptual_distance(a, b, SurrogateEmbedder([21], 64)),
+}
+
+
+@pytest.mark.parametrize("name", list(DISTANCES))
+class TestStackedDistances:
+    """A [..., H, W, C] stack gives one value per image, as one-image calls do."""
+
+    def test_rows_match_one_image_calls(self, name):
+        distance = DISTANCES[name]
+        a, b = stack(1), stack(2)
+        batched = distance(a, b)
+        assert batched.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            single = distance(a[index], b[index])
+            assert type(single) is float
+            if name == "l2":
+                assert batched[index] == single
+            else:
+                assert abs(batched[index] - single) <= 1e-15
+
+    def test_identical_rows_give_exact_zero(self, name):
+        a, b = stack(3), stack(4)
+        b[0, 1] = a[0, 1]
+        d = DISTANCES[name](a, b)
+        assert d[0, 1] == 0.0
+        assert np.count_nonzero(d) == d.size - 1
+
+    def test_mismatched_stacks_rejected(self, name):
+        with pytest.raises(ShapeError):
+            DISTANCES[name](stack(5), stack(6, shape=(3, 2, 8, 8, 1)))
+
+
+def test_zero_norm_row_in_stack_rejected():
+    a, b = stack(7), stack(8)
+    a[1, 2] = 0.0  # a zero image embeds to zero: the embedder has no bias
+    with pytest.raises(DegenerateEmbeddingError):
+        id_distance(a, b, SurrogateEmbedder([22], 64))
+
+
 class TestSurrogateEmbedder:
     def test_deterministic_from_seed(self):
         a = SurrogateEmbedder([42], 64)
