@@ -1,14 +1,14 @@
 """Dense float64 tensors and a minimal reverse-mode differentiation tape.
 
 The primitive set is the closure needed by the toy two-stage models and the
-disruption losses: affine maps, elementwise activations (tanh/relu/sigmoid),
+disruption losses: affine maps, elementwise activations (tanh/sigmoid),
 reshape, broadcast, concatenate, mean, squared difference, plus add/scale for
 residual blocks and loss combination. Every op keeps leading (batch) axes, so
 a stack of inputs runs through the same code as a single one. Everything runs
 in 64-bit floats so gradients can be validated tightly against central finite
 differences.
 
-Recording is opt-in: ops consult a thread-local active tape and compute
+Recording is opt-in: ops consult the active tape and compute
 plainly when none is active (used for frozen reference values). A tape tracks
 only the tensors it watches and the outputs of ops it recorded; an op with no
 tracked input is not recorded, and a backward pass computes no gradient for an
@@ -19,7 +19,6 @@ a backward pass, so it can be differentiated repeatedly.
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,7 +38,6 @@ __all__ = [
     "forward_affine",
     "activation",
     "tanh",
-    "relu",
     "sigmoid",
     "reshape",
     "broadcast",
@@ -53,7 +51,7 @@ __all__ = [
     "finite_difference_gradient",
 ]
 
-ACTIVATION_KINDS = ("tanh", "relu", "sigmoid")
+ACTIVATION_KINDS = ("tanh", "sigmoid")
 
 
 class Tensor:
@@ -111,6 +109,13 @@ class Tensor:
     def tolist(self):
         return self._data.tolist()
 
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __getitem__(self, index) -> "Tensor":
+        """Rows along the leading axis (numpy indexing): read-only, recorded on no tape."""
+        return Tensor._wrap(self._data[index])
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -143,9 +148,6 @@ class Tape:
         self._known: set[int] = set()
         self._watched: list[Tensor] = []
         self._ref = weakref.ref(self)
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     @property
     def records(self) -> tuple[_Record, ...]:
@@ -190,40 +192,30 @@ class Tape:
         return Tensor._wrap(g.reshape(wrt.shape))
 
 
-_ACTIVE = threading.local()
-
-
-def _stack() -> list:
-    s = getattr(_ACTIVE, "stack", None)
-    if s is None:
-        s = _ACTIVE.stack = []
-    return s
+_STACK: list[Tape | None] = []  # innermost last; None suspends recording
 
 
 def active_tape() -> Tape | None:
-    s = _stack()
-    return s[-1] if s else None
+    return _STACK[-1] if _STACK else None
 
 
 @contextmanager
 def recording(tape: Tape):
-    s = _stack()
-    s.append(tape)
+    _STACK.append(tape)
     try:
         yield tape
     finally:
-        s.pop()
+        _STACK.pop()
 
 
 @contextmanager
 def stop_recording():
     """Suspend recording, e.g. while computing frozen reference values."""
-    s = _stack()
-    s.append(None)
+    _STACK.append(None)
     try:
         yield
     finally:
-        s.pop()
+        _STACK.pop()
 
 
 def _emit(op, inputs, out_arr, vjp_fn) -> Tensor:
@@ -271,10 +263,10 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
 
 def activation(input: Tensor, kind: str) -> Tensor:
-    """Elementwise tanh / relu / sigmoid.
+    """Elementwise tanh / sigmoid.
 
-    relu uses subgradient 0 at the origin; sigmoid is computed in its
-    numerically stable split form so large inputs stay finite.
+    The sigmoid is computed in its numerically stable split form so large
+    inputs stay finite.
     """
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unsupported activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
@@ -283,11 +275,6 @@ def activation(input: Tensor, kind: str) -> Tensor:
         y = np.tanh(x)
         def vjp(g, needs, y=y):
             return (g * (1.0 - y * y),)
-    elif kind == "relu":
-        y = np.maximum(x, 0.0)
-        mask = x > 0.0
-        def vjp(g, needs, mask=mask):
-            return (g * mask,)
     else:
         y = _stable_sigmoid(x)
         def vjp(g, needs, y=y):
@@ -303,10 +290,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def tanh(t: Tensor) -> Tensor:
     return activation(t, "tanh")
-
-
-def relu(t: Tensor) -> Tensor:
-    return activation(t, "relu")
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -488,8 +471,3 @@ class ParameterSet:
     @property
     def count(self) -> int:
         return sum(t.size for t in self.tensors.values())
-
-    def equals(self, other: "ParameterSet") -> bool:
-        if self.names() != other.names():
-            return False
-        return all(np.array_equal(self[n].data, other[n].data) for n in self.names())

@@ -14,7 +14,6 @@ import click
 import numpy as np
 
 from .attacks import build_gradient_provider, run_attack
-from .autodiff import Tensor
 from .config import OBJECTIVE_KINDS, load_config, parse_config
 from .errors import ConfigError
 from .harness import (
@@ -142,14 +141,13 @@ def calibrate(config_path, out_path, pairs):
         id_emb = SurrogateEmbedder([config.metrics_seed, 0], pixels)
         lp_emb = SurrogateEmbedder([config.metrics_seed, 1], pixels)
         rng = np.random.default_rng([config.metrics_seed, 2])
-        images = np.stack([image.data for image in dataset.images])
         quantiles = [0.1, 0.25, 0.5, 0.75, 0.9]
         out = {"pairs": pairs, "quantiles": quantiles, "models": {}}
         for name, model in models.items():
             drawn = np.array([rng.choice(len(dataset), size=2, replace=False)
                               for _ in range(pairs)])
             outputs = attribute_outputs(model, pools[name].known[:1], (pairs,))
-            ya, yb = (outputs(model.encode(Tensor._wrap(images[side]))) for side in drawn.T)
+            ya, yb = (outputs(model.encode(dataset.images[side])) for side in drawn.T)
             dists = {"l2": l2_image(ya, yb), "id": id_distance(ya, yb, id_emb),
                      "lpips": perceptual_distance(ya, yb, lp_emb)}
             out["models"][name] = {

@@ -63,20 +63,19 @@ def bump_image(rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    """Immutable list of source images, all in [0,1] and sharing one shape."""
+    """Immutable stack of source images ``[N, H, W, C]``, every pixel in [0,1]."""
 
-    images: tuple[Tensor, ...]
-    seed: int | None
-    image_shape: tuple[int, ...]
+    images: Tensor
 
     def __post_init__(self):
-        for i, img in enumerate(self.images):
-            if img.shape != self.image_shape:
-                raise ConfigError(
-                    f"image {i} has shape {img.shape}, expected {self.image_shape}"
-                )
-            if np.any(img.data < 0.0) or np.any(img.data > 1.0):
-                raise ConfigError(f"image {i} has pixel values outside [0,1]")
+        x = self.images.data
+        if x.min() < 0.0 or x.max() > 1.0:
+            bad = next(i for i, img in enumerate(x) if img.min() < 0.0 or img.max() > 1.0)
+            raise ConfigError(f"image {bad} has pixel values outside [0,1]")
+
+    @property
+    def image_shape(self) -> tuple[int, ...]:
+        return self.images.shape[1:]
 
     def __len__(self) -> int:
         return len(self.images)
@@ -92,11 +91,9 @@ def generate_dataset(seed: int, count: int, shape: Sequence[int]) -> SyntheticDa
     shape = tuple(int(s) for s in shape)
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ConfigError(f"image shape must be three positive dims, got {shape}")
-    images = tuple(
-        Tensor._wrap(bump_image(np.random.default_rng([seed, i]), shape))
-        for i in range(count)
-    )
-    return SyntheticDataset(images=images, seed=seed, image_shape=shape)
+    images = np.stack([bump_image(np.random.default_rng([seed, i]), shape)
+                       for i in range(count)])
+    return SyntheticDataset(Tensor._wrap(images))
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +103,14 @@ def generate_dataset(seed: int, count: int, shape: Sequence[int]) -> SyntheticDa
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(\S+)")
 
 
-def _read_tokens(blob: bytes, n: int, pos: int) -> tuple[list[bytes], int]:
+def _read_tokens(path: Path, part: str, blob: bytes, n: int,
+                 pos: int) -> tuple[list[bytes], int]:
+    """The next ``n`` tokens of ``blob`` from ``pos``; ``part`` names them in errors."""
     out = []
     while len(out) < n:
         m = _TOKEN.match(blob, pos)
         if m is None:
-            raise ConfigError("truncated PNM header")
+            raise ConfigError(f"{path}: truncated PNM {part}")
         out.append(m.group(1))
         pos = m.end()
     return out, pos
@@ -131,17 +130,17 @@ def read_pnm(path) -> np.ndarray:
     """
     path = Path(path)
     blob = path.read_bytes()
-    (magic,), pos = _read_tokens(blob, 1, 0)
+    (magic,), pos = _read_tokens(path, "header", blob, 1, 0)
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise ConfigError(f"{path}: unsupported PNM magic {magic!r}")
     channels = 3 if magic in (b"P3", b"P6") else 1
-    header, pos = _read_tokens(blob, 3, pos)
+    header, pos = _read_tokens(path, "header", blob, 3, pos)
     width, height, maxval = _integers(path, header)
     if width < 1 or height < 1 or maxval < 1 or maxval > 65535:
         raise ConfigError(f"{path}: invalid PNM dimensions {width}x{height} max {maxval}")
     count = width * height * channels
     if magic in (b"P2", b"P3"):
-        toks, _ = _read_tokens(blob, count, pos)
+        toks, _ = _read_tokens(path, "pixel data", blob, count, pos)
         flat = np.array(_integers(path, toks), dtype=np.float64)
     else:
         pos += 1  # single whitespace byte after maxval
@@ -178,5 +177,4 @@ def load_dataset_from_directory(path) -> SyntheticDataset:
     for p, a in zip(files, arrays):
         if a.shape != shape:
             raise ConfigError(f"{p}: shape {a.shape} differs from {files[0]}: {shape}")
-    images = tuple(Tensor._wrap(a) for a in arrays)
-    return SyntheticDataset(images=images, seed=None, image_shape=shape)
+    return SyntheticDataset(Tensor._wrap(np.stack(arrays)))

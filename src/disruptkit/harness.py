@@ -72,7 +72,7 @@ class EvaluationReport:
     separation: dict
     attack_phase_counters: dict
     parameter_ratio: dict
-    etas: dict
+    etas: dict  # method -> its [N, H, W, C] perturbation stack; row i is image i's eta
 
 
 def _load_images(config: ExperimentConfig) -> SyntheticDataset:
@@ -139,7 +139,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
 
     # -- attack phase: one eta per (method, image), holdout never touched ----
     n_images = len(dataset)
-    X = Tensor._wrap(np.stack([image.data for image in dataset.images]))
+    X = dataset.images
     groups = {"clean": X}  # the input stacks every model encodes for evaluation
     etas = {}
     runtime = {}
@@ -149,7 +149,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
         provider = build_gradient_provider(attack_models, objective, config.ensemble, X)
         eta = run_attack(provider, X, config.attack)
         runtime[method] = time.perf_counter() - start
-        etas[method] = tuple(Tensor._wrap(row) for row in eta.data)
+        etas[method] = eta
         groups[method] = Tensor._wrap(X.data + eta.data)
     attack_counters = {
         name: {"encode_calls": m.counters.encode_calls,

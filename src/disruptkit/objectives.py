@@ -9,8 +9,8 @@
 
 Reference values (clean outputs and latents) are computed off-tape and
 frozen before any attack iteration, so the optimization target is fixed.
-``bind`` is the one way to evaluate an objective; the helpers below are
-expressed through it. A bound loss returns one value per image: for a stack
+``bind`` is the one way to evaluate an objective; ``per_model_image_loss``
+is expressed through it. A bound loss returns one value per image: for a stack
 ``X`` of shape ``[..., H, W, C]`` its shape is ``X``'s leading axes, and for
 a single image it is a scalar.
 """
@@ -32,7 +32,6 @@ __all__ = [
     "LatentAttackObjective",
     "attribute_outputs",
     "per_model_image_loss",
-    "objective_value",
 ]
 
 
@@ -118,10 +117,3 @@ def per_model_image_loss(model: TwoStageModel, X: Tensor, X_pert: Tensor,
                          attrs: Sequence[Tensor]) -> Tensor:
     """Mean over ``attrs`` of mse(G(E(X),c), G(E(X_pert),c)) per image, references off-tape."""
     return ImageAttackObjective({model.name: attrs}).bind(model, X)(X_pert)
-
-
-def objective_value(objective: Objective, models: Sequence[TwoStageModel],
-                    X: Tensor, X_pert: Tensor) -> float:
-    """Sum of per-model losses, computed off-tape (diagnostic scalar)."""
-    with ad.stop_recording():
-        return sum((objective.bind(model, X)(X_pert).item() for model in models), 0.0)

@@ -270,30 +270,21 @@ def test_criterion_07_gray_box_directionality():
                   for j in range(2)]
         pools = {m.name: sample_attribute_set(m, 1, 12, [seed, j])
                  for j, m in enumerate(models)}
-        data = generate_dataset(seed=seed, count=50, shape=(8, 8, 1))
+        X = generate_dataset(seed=seed, count=50, shape=(8, 8, 1)).images
         strategy = EnsembleStrategy(kind="normalized_gradient_ensemble")
         known_obj = ImageAttackObjective(
             attributes_by_model={n: pools[n].known for n in pools})
         drops = {}
         for name, objective in (("leat", LatentAttackObjective()),
                                 ("image_attack", known_obj)):
-            w_acc = {m.name: [] for m in models}
-            g_acc = {m.name: [] for m in models}
-            for i in range(50):
-                X = data[i]
-                config = AttackConfig(iterations=30, seed=(seed, i))
-                provider = build_gradient_provider(models, objective, strategy, X)
-                eta = run_attack(provider, X, config)
-                x_t = Tensor(X.data + eta.data)
-                for m in models:
-                    w_acc[m.name].append(
-                        per_model_image_loss(m, X, x_t, pools[m.name].known).item())
-                    g_acc[m.name].append(
-                        per_model_image_loss(m, X, x_t, pools[m.name].unknown).item())
+            # one batched attack over the 50 images; image i starts at (seed, i)
+            provider = build_gradient_provider(models, objective, strategy, X)
+            eta = run_attack(provider, X, AttackConfig(iterations=30, seed=seed))
+            x_t = Tensor(X.data + eta.data)
             per_model = []
             for m in models:
-                w = float(np.mean(w_acc[m.name]))
-                g = float(np.mean(g_acc[m.name]))
+                w = float(np.mean(per_model_image_loss(m, X, x_t, pools[m.name].known).data))
+                g = float(np.mean(per_model_image_loss(m, X, x_t, pools[m.name].unknown).data))
                 per_model.append((w - g) / w)
             drops[name] = float(np.mean(per_model))
         return drops
@@ -354,27 +345,24 @@ def test_criterion_09_latent_separation():
                   for j in range(2)]
         pools = {m.name: sample_attribute_set(m, 3, 3, [seed, j])
                  for j, m in enumerate(models)}
-        data = generate_dataset(seed=seed, count=n_images, shape=(8, 8, 1))
+        X = generate_dataset(seed=seed, count=n_images, shape=(8, 8, 1)).images
         strategy = EnsembleStrategy(kind="normalized_gradient_ensemble")
         image_obj = ImageAttackObjective(
             attributes_by_model={m.name: pools[m.name].known for m in models})
         rng = np.random.default_rng([seed, 77])
-        eta0 = Tensor(rng.uniform(-0.05, 0.05, size=(8, 8, 1)))
+        eta0 = rng.uniform(-0.05, 0.05, size=(8, 8, 1))
+        init_eta = Tensor(np.broadcast_to(eta0, X.shape))  # every image starts at eta0
         sep = {}
         for name, objective in (("leat", LatentAttackObjective()),
                                 ("image_attack", image_obj)):
-            etas = []
-            for i in range(n_images):
-                config = AttackConfig(iterations=30, random_init=False, seed=0)
-                provider = build_gradient_provider(models, objective, strategy,
-                                                   data[i])
-                etas.append(run_attack(provider, data[i], config, init_eta=eta0))
+            config = AttackConfig(iterations=30, random_init=False, seed=0)
+            provider = build_gradient_provider(models, objective, strategy, X)
+            eta = run_attack(provider, X, config, init_eta=init_eta)
             per_model = []
             for m in models:
-                clean = [m.encode(data[i]) for i in range(n_images)]
-                dirty = [m.encode(Tensor(data[i].data + etas[i].data))
-                         for i in range(n_images)]
-                points = pca_project_latents(clean + dirty)
+                clean = m.encode(X).data
+                dirty = m.encode(Tensor(X.data + eta.data)).data
+                points = pca_project_latents(np.concatenate([clean, dirty]))
                 per_model.append(separation_statistic(points[:n_images],
                                                       points[n_images:]))
             sep[name] = float(np.mean(per_model))

@@ -20,11 +20,7 @@ from disruptkit.autodiff import Tensor
 from disruptkit.dataset import generate_dataset
 from disruptkit.ensembles import ENSEMBLE_KINDS, EnsembleStrategy
 from disruptkit.errors import ConfigError, InvariantError, ShapeError
-from disruptkit.objectives import (
-    ImageAttackObjective,
-    LatentAttackObjective,
-    objective_value,
-)
+from disruptkit.objectives import ImageAttackObjective, LatentAttackObjective
 
 from support import rel_err
 
@@ -273,8 +269,9 @@ class TestRunAttack:
                           ImageAttackObjective(attributes_by_model={model.name: attrs})):
             provider = build_gradient_provider([model], objective, NORMALIZED, x)
             eta = run_attack(provider, x, AttackConfig(seed=3))
-            final = objective_value(objective, [model], x, Tensor(x.data + eta.data))
-            null = objective_value(objective, [model], x, x)
+            loss = objective.bind(model, x)
+            final = loss(Tensor(x.data + eta.data)).item()
+            null = loss(x).item()
             assert null == 0.0
             assert final > null
 

@@ -29,9 +29,19 @@ class TestTensor:
             ad.Tensor([float("inf")])
 
     def test_immutable(self):
-        t = ad.Tensor([1.0, 2.0])
-        with pytest.raises(ValueError):
-            t.data[0] = 5.0
+        t = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        for view in (t, t[1]):
+            with pytest.raises(ValueError):
+                view.data[0] = 5.0
+
+    def test_leading_axis_rows(self):
+        t = ad.Tensor(np.arange(24.0).reshape(4, 3, 2))
+        assert len(t) == 4
+        for i, row in enumerate(t):
+            assert np.array_equal(row.data, t.data[i])
+            assert np.array_equal(t[i].data, t.data[i])
+            assert np.shares_memory(t[i].data, t.data)  # a view, not a copy
+        assert len(list(t)) == 4
 
     def test_source_array_is_copied(self):
         src = np.array([1.0, 2.0])
@@ -91,7 +101,6 @@ class TestForwardAffine:
 class TestActivations:
     def test_trivial_values(self):
         assert ad.tanh(ad.Tensor([0.0])).data.tolist() == [0.0]
-        assert ad.relu(ad.Tensor([-1.5])).data.tolist() == [0.0]
         assert ad.sigmoid(ad.Tensor([0.0])).data.tolist() == [0.5]
 
     def test_sigmoid_stable_for_large_inputs(self):
@@ -102,14 +111,6 @@ class TestActivations:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ad.activation(ad.Tensor([0.0]), "softplus")
-
-    def test_relu_subgradient_zero_at_origin(self):
-        tape = ad.Tape()
-        (x,) = watched(tape, [0.0, -1.0, 2.0])
-        with ad.recording(tape):
-            loss = ad.mean(ad.relu(x))
-        g = ad.backward(loss, x)
-        assert g.data.tolist() == [0.0, 0.0, 1.0 / 3.0]
 
 
 class TestMseLoss:
@@ -264,6 +265,13 @@ class TestBackward:
         loss = ad.mse_loss(ad.Tensor([1.0]), ad.Tensor([0.0]))
         with pytest.raises(LineageError):
             ad.backward(loss, ad.Tensor([1.0]))
+        # a row of a watched tensor is recorded on no tape, so neither is its loss
+        tape = ad.Tape()
+        (x,) = watched(tape, [[1.0, 2.0], [3.0, 4.0]])
+        with ad.recording(tape):
+            row_loss = ad.mse_loss(x[0], ad.Tensor([0.0, 0.0]))
+        with pytest.raises(LineageError):
+            ad.backward(row_loss, x)
 
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()

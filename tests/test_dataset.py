@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from disruptkit import dataset as ds
+from disruptkit.autodiff import Tensor
 from disruptkit.errors import ConfigError
 
 
@@ -35,6 +36,17 @@ class TestSyntheticGeneration:
         assert len(data) == 4
         assert data.image_shape == (6, 5, 3)
         assert all(img.shape == (6, 5, 3) for img in data.images)
+        # the rows are exactly the per-index streams [seed, i]
+        rows = [x.data for x in data.images]
+        assert len(rows) == 4
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, ds.bump_image(np.random.default_rng([0, i]), (6, 5, 3)))
+
+    def test_out_of_range_image_named(self):
+        images = np.full((4, 3, 3, 1), 0.5)
+        images[2, 1, 1, 0] = 1.5
+        with pytest.raises(ConfigError, match="image 2 has pixel values outside"):
+            ds.SyntheticDataset(Tensor(images))
 
     def test_count_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -105,6 +117,16 @@ class TestPnmIO:
         p = tmp_path / "bad.pgm"
         p.write_bytes(blob)
         with pytest.raises(ConfigError, match="bad.pgm.*not an integer"):
+            ds.read_pnm(p)
+
+    @pytest.mark.parametrize("blob, part", [
+        (b"P2\n2 2\n", "header"),
+        (b"P2\n2 1\n255\n7\n", "pixel data"),
+    ], ids=["header", "pixel_data"])
+    def test_truncated_tokens_name_file_and_part(self, tmp_path, blob, part):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(blob)
+        with pytest.raises(ConfigError, match=f"bad.pgm: truncated PNM {part}"):
             ds.read_pnm(p)
 
     def test_truncated_pixels_rejected(self, tmp_path):

@@ -245,5 +245,6 @@ def test_single_image_summary_is_strict_json(tmp_path):
 def test_etas_respect_budget(report):
     eps = report.config.attack.epsilon
     for per_method in report.etas.values():
+        assert len(per_method) == report.config.dataset.count
         for eta in per_method:
             assert float(np.max(np.abs(eta.data))) <= eps + 1e-12

@@ -13,7 +13,6 @@ from disruptkit.errors import ConfigError
 from disruptkit.objectives import (
     ImageAttackObjective,
     LatentAttackObjective,
-    objective_value,
     per_model_image_loss,
 )
 
@@ -168,23 +167,3 @@ class TestObjectiveTypes:
                 x0,
             )
             assert rel_err(g.data, g_fd.data) < 1e-5
-
-
-class TestObjectiveValue:
-    def test_sums_over_models(self, x):
-        models = [zoo.build_model("vec_conditional", seed=s) for s in (1, 2)]
-        xp = perturbed(x)
-        want = sum(latent_mse(m, x, xp) for m in models)
-        got = objective_value(LatentAttackObjective(), models, x, xp)
-        assert abs(got - want) < 1e-15
-
-    def test_image_variant(self, x):
-        models = [zoo.build_model("refiner", seed=s) for s in (3, 4)]
-        attr_map = {m.name: attrs_for(m, n=2, seed=7 + i) for i, m in enumerate(models)}
-        obj = ImageAttackObjective(attributes_by_model=attr_map)
-        xp = perturbed(x)
-        want = sum(
-            per_model_image_loss(m, x, xp, attr_map[m.name]).item() for m in models
-        )
-        got = objective_value(obj, models, x, xp)
-        assert abs(got - want) < 1e-15

@@ -16,6 +16,11 @@ def source_image(seed=0, shape=(8, 8, 1)):
     return generate_dataset(seed=seed, count=1, shape=shape)[0]
 
 
+def same_parameters(a, b):
+    return a.names() == b.names() and all(
+        np.array_equal(a[n].data, b[n].data) for n in a.names())
+
+
 def attr_for(model, seed=100):
     return zoo.sample_attribute(model, np.random.default_rng(seed))
 
@@ -28,13 +33,13 @@ def model(request):
 class TestBuildDeterminism:
     def test_same_build_identical_parameters(self, model):
         twin = zoo.build_model(model.archetype, seed=42)
-        assert model.encoder_params.equals(twin.encoder_params)
-        assert model.generator_params.equals(twin.generator_params)
+        assert same_parameters(model.encoder_params, twin.encoder_params)
+        assert same_parameters(model.generator_params, twin.generator_params)
 
     def test_different_seed_different_parameters(self):
         a = zoo.build_model("vec_conditional", seed=1)
         b = zoo.build_model("vec_conditional", seed=2)
-        assert not a.encoder_params.equals(b.encoder_params)
+        assert not same_parameters(a.encoder_params, b.encoder_params)
 
     def test_unknown_archetype_rejected(self):
         with pytest.raises(ConfigError):
