@@ -6,15 +6,16 @@ boundary, checked explicitly so they also hold under ``python -O``:
 
 - X_t == X + eta, bitwise,
 - every X_t value within [0, 1],
-- max |eta| <= epsilon + 1e-12 (in fact bitwise <= epsilon).
+- max |eta| <= epsilon, bitwise.
 
 To make those hold in floating point, the update and the budget clamp are
 applied to eta directly (the x-space form (X_t + a*sign(g)) - X is the same
-quantity in real arithmetic but loses ulps to cancellation), and pixel
-validity is settled per coordinate: where X + eta leaves [0,1], eta is
-replaced by -X or (1 - X), which a short fixed-point loop verifies to be
-stable under clipping. Settling only ever shrinks |eta|, so the budget
-clamp's exact +/-epsilon values survive on untouched coordinates.
+quantity in real arithmetic but loses ulps to cancellation), and the start
+and every step go through one projection, _project: clip eta to
++/-epsilon, then, where X + eta leaves [0,1], replace eta by -X or (1 - X)
+in one pass. That pass is exact (x + (-x) is 0 and x + fl(1 - x) never
+rounds above 1) and only shrinks |eta|, so the clamp's exact +/-epsilon
+values survive and coordinates already valid keep their bits.
 
 The gradient provider passed to run_attack encapsulates the objective and
 the ensemble strategy; the loop itself knows nothing about models.
@@ -51,9 +52,6 @@ __all__ = [
 
 GradientProvider = Callable[[Tensor], Tensor]
 
-BUDGET_SLACK = 1e-12
-
-
 @dataclass(frozen=True)
 class AttackConfig:
     """Budget, step size, and loop shape. Defaults follow the source protocol."""
@@ -71,6 +69,8 @@ class AttackConfig:
             raise ConfigError(f"step_a must be finite and > 0, got {self.step_a}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if any(entry < 0 for entry in self.seed_entropy()):
+            raise ConfigError(f"seed entries must be >= 0, got {self.seed}")
 
     def seed_entropy(self) -> list[int]:
         if isinstance(self.seed, int):
@@ -88,24 +88,14 @@ class AttackState:
     t: int
 
 
-def _settle_pixels(x_arr: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjust eta only where X + eta leaves [0,1]; other coordinates keep their bits.
-
-    x + (-x) is exactly 0 and x + fl(1-x) never rounds above 1, so one
-    corrective pass suffices; the loop just verifies the fixed point.
-    """
-    eta = np.array(eta)
-    for _ in range(4):
-        x_t = x_arr + eta
-        if x_t.min() >= 0.0 and x_t.max() <= 1.0:
-            return x_t, eta
-        lo = x_t < 0.0
-        hi = x_t > 1.0
-        if not (lo.any() or hi.any()):  # NaN: nothing to move; run_attack's checks report it
-            return x_t, eta
-        eta[lo] = -x_arr[lo]
-        eta[hi] = 1.0 - x_arr[hi]
-    raise FloatingPointError("pixel-range projection did not reach a fixed point")
+def _project(x: np.ndarray, eta: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(X + eta, eta) with eta clipped to +/-eps and X + eta settled into [0,1]."""
+    eta = np.clip(eta, -eps, eps)
+    x_t = x + eta
+    if x_t.min() >= 0.0 and x_t.max() <= 1.0:
+        return x_t, eta
+    eta = np.where(x_t < 0.0, -x, np.where(x_t > 1.0, 1.0 - x, eta))
+    return x + eta, eta
 
 
 def _random_start(config: AttackConfig, shape: tuple[int, ...]) -> np.ndarray:
@@ -131,9 +121,10 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
     X_{t+1} = X + eta kept pixel-valid. With random_init the loop starts
     from eta uniform in [-eps, +eps] (drawn from config.seed, per image of a
     stack, see _random_start), otherwise from zero. ``init_eta`` resumes
-    from a previous run's output (mutually exclusive with random_init); an
-    already-valid state is resumed verbatim so split runs reproduce one long
-    run bit-for-bit.
+    from a previous run's output (mutually exclusive with random_init). Every
+    start goes through the same projection as each step, which leaves a
+    valid eta's bits unchanged, so split runs reproduce one long run
+    bit-for-bit.
     """
     if np.any(X.data < 0.0) or np.any(X.data > 1.0):
         raise ConfigError("source image must have values in [0,1]")
@@ -144,28 +135,19 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
             raise ConfigError("init_eta cannot be combined with random_init")
         if init_eta.shape != X.shape:
             raise ShapeError(f"init_eta shape {init_eta.shape} != source shape {X.shape}")
-        eta = init_eta.data
-        x_t = x_arr + eta
-        if (np.max(np.abs(eta)) > eps + BUDGET_SLACK
-                or np.any(x_t < 0.0) or np.any(x_t > 1.0)):
-            eta = np.clip(eta, -eps, eps)
-            x_t, eta = _settle_pixels(x_arr, eta)
-    else:
-        if config.random_init:
-            eta = _random_start(config, X.shape)
-        else:
-            eta = np.zeros(X.shape)
-        x_t, eta = _settle_pixels(x_arr, eta)
+    start = (init_eta.data if init_eta is not None
+             else _random_start(config, X.shape) if config.random_init
+             else np.zeros(X.shape))
+    x_t, eta = _project(x_arr, start, eps)
 
     for t in range(config.iterations):
         g = objective_grad(Tensor._wrap(x_t))
         if g.shape != X.shape:
             raise ShapeError(f"gradient provider returned shape {g.shape}, expected {X.shape}")
-        eta = np.clip(eta + config.step_a * np.sign(g.data), -eps, eps)
-        x_t, eta = _settle_pixels(x_arr, eta)
+        x_t, eta = _project(x_arr, eta + config.step_a * np.sign(g.data), eps)
         # ndarray.min/max/all rather than np.* wrappers: same tests (NaN fails
         # each), a fraction of the per-iteration cost
-        if not np.abs(eta).max() <= eps + BUDGET_SLACK:
+        if not np.abs(eta).max() <= eps:
             raise InvariantError(
                 f"iteration {t}: max |eta| = {np.abs(eta).max()} exceeds epsilon {eps}")
         if not (x_t.min() >= 0.0 and x_t.max() <= 1.0):

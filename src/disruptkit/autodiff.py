@@ -61,10 +61,8 @@ class Tensor:
     # a strong one would make every tape a cycle that only the cyclic GC frees
     __slots__ = ("_data", "_tape_ref")
 
-    def __init__(self, data, shape: Sequence[int] | None = None):
+    def __init__(self, data):
         arr = np.array(data, dtype=np.float64, copy=True, order="C")
-        if shape is not None:
-            arr = arr.reshape(tuple(shape))
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor values must be finite")
         arr.flags.writeable = False

@@ -301,8 +301,16 @@ def load_config(path) -> ExperimentConfig:
     def reject_constant(name: str):
         raise ConfigError(f"config {p} contains the non-finite constant {name}")
 
+    def unique_keys(pairs) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config {p} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads(text, parse_constant=reject_constant)
+        raw = json.loads(text, parse_constant=reject_constant, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     return parse_config(raw)

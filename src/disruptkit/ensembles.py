@@ -22,6 +22,7 @@ per row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,6 +82,11 @@ def _check(per_model: Sequence[PerModelGradient]) -> int:
     return len(rows)
 
 
+def _check_weights(omega: Sequence[float]) -> None:
+    if not all(math.isfinite(w) and w > 0 for w in omega):
+        raise ConfigError(f"ensemble weights must all be finite and > 0, got {list(omega)}")
+
+
 def aggregate_loss_ensemble(per_model: Sequence[PerModelGradient],
                             omega: Sequence[float] | None = None) -> Tensor:
     """Sum of omega_k * gradient_k; omega defaults to all ones."""
@@ -91,8 +97,7 @@ def aggregate_loss_ensemble(per_model: Sequence[PerModelGradient],
         raise ConfigError(
             f"got {len(omega)} weights for {len(per_model)} models"
         )
-    if any(w <= 0 for w in omega):
-        raise ConfigError("ensemble weights must all be positive")
+    _check_weights(omega)
     total = np.zeros(per_model[0].gradient.shape)
     for w, pm in zip(omega, per_model):
         total = total + float(w) * pm.gradient.data
@@ -117,12 +122,8 @@ def aggregate_hmm(per_model: Sequence[PerModelGradient]) -> Tensor:
 
 
 def aggregate_gradient_ensemble(per_model: Sequence[PerModelGradient]) -> Tensor:
-    """(1/K) * sum of gradients."""
-    _check(per_model)
-    total = np.zeros(per_model[0].gradient.shape)
-    for pm in per_model:
-        total = total + pm.gradient.data
-    return Tensor._wrap(total / len(per_model))
+    """(1/K) * sum of gradients: the unit-weight loss ensemble over K (1.0 * g is exact)."""
+    return Tensor._wrap(aggregate_loss_ensemble(per_model).data / len(per_model))
 
 
 def aggregate_normalized(per_model: Sequence[PerModelGradient]) -> Tensor:
@@ -151,8 +152,7 @@ class EnsembleStrategy:
             if self.kind != "loss_ensemble":
                 raise ConfigError("weights_omega is only meaningful for loss_ensemble")
             object.__setattr__(self, "weights_omega", tuple(float(w) for w in self.weights_omega))
-            if any(w <= 0 for w in self.weights_omega):
-                raise ConfigError("ensemble weights must all be positive")
+            _check_weights(self.weights_omega)
 
 
 def aggregate(strategy: EnsembleStrategy, per_model: Sequence[PerModelGradient]) -> Tensor:

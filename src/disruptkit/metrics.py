@@ -51,24 +51,26 @@ class MetricThresholds:
                 raise ConfigError(f"threshold {name} must be finite and > 0, got {value}")
 
 
+# hidden layer widths of every SurrogateEmbedder; the last is the embedding size
+EMBEDDER_WIDTHS = (32, 24, 16)
+
+
 class SurrogateEmbedder:
     """Frozen random MLP standing in for a pretrained feature network.
 
     ``embed`` returns the final embedding; ``features`` returns every hidden
-    tap for the perceptual distance. Deterministic from (seed, input size,
-    widths); never trained.
+    tap for the perceptual distance. Layer widths are EMBEDDER_WIDTHS.
+    Deterministic from (seed, input size); never trained.
     """
 
-    def __init__(self, seed_entropy: Sequence[int], input_size: int,
-                 widths: Sequence[int] = (32, 24, 16)):
-        if input_size < 1 or any(w < 1 for w in widths):
-            raise ConfigError("embedder sizes must be positive")
+    def __init__(self, seed_entropy: Sequence[int], input_size: int):
+        if input_size < 1:
+            raise ConfigError("embedder input size must be positive")
         rng = np.random.default_rng(list(seed_entropy))
         self.input_size = int(input_size)
-        self.widths = tuple(int(w) for w in widths)
         self._layers = []
         fan_in = input_size
-        for w in self.widths:
+        for w in EMBEDDER_WIDTHS:
             bound = 1.0 / np.sqrt(fan_in)
             weight = rng.uniform(-bound, bound, size=(w, fan_in))
             weight.flags.writeable = False
@@ -179,15 +181,14 @@ def aggregate_dsr(flags_by_model: Mapping[str, Sequence[bool]]) -> DsrSummary:
                       e_dsr=float(np.mean(stacked.all(axis=0))))
 
 
-def pca_project_latents(latents: Sequence, dims: int = 2) -> np.ndarray:
-    """Mean-centered projection of flattened latents onto the top principal axes.
+def pca_project_latents(latents: Sequence) -> np.ndarray:
+    """Mean-centered projection of flattened latents onto the top two principal axes.
 
     Component signs are fixed by making each axis's largest-magnitude
     coordinate positive, so the projection is deterministic. All-identical
-    latents project to the origin. Returns an array of shape (n, dims).
+    latents project to the origin. Returns an array of shape (n, 2).
     """
-    if dims < 1:
-        raise ConfigError(f"projection dims must be >= 1, got {dims}")
+    dims = 2
     if len(latents) < 2:
         raise ConfigError("need at least two latents to project")
     flats = [_as_array(z).reshape(-1) for z in latents]

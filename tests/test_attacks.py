@@ -82,6 +82,7 @@ class TestAttackConfig:
         dict(step_a=0.0), dict(iterations=0),
         dict(epsilon=float("nan")), dict(epsilon=float("inf")),
         dict(step_a=float("nan")), dict(step_a=float("inf")),
+        dict(seed=-1), dict(seed=(3, -2)),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
@@ -113,6 +114,38 @@ class TestProjectBudget:
         with pytest.raises(ShapeError):
             run_attack(constant_gradient([1.0]), Tensor([0.5]),
                        AttackConfig(random_init=False), init_eta=Tensor([0.0, 0.0]))
+
+    @staticmethod
+    def resume(x, init_eta):
+        """(first x_t the provider sees, returned eta) for a zero-gradient step from init_eta."""
+        seen = []
+
+        def provider(x_t):
+            seen.append(x_t.data)
+            return Tensor(np.zeros(x_t.shape))
+
+        cfg = AttackConfig(epsilon=0.05, step_a=0.01, iterations=1, random_init=False)
+        eta = run_attack(provider, Tensor(x), cfg, init_eta=Tensor(init_eta))
+        return seen[0], eta.data
+
+    def test_invalid_init_eta_arrives_projected(self):
+        x = np.array([0.0, 1.0, 0.0, 1.0, 0.5, 0.02, 0.99, 0.3])
+        init = np.array([-0.3, 0.2, 0.7, -0.6, 0.4, -0.04, 0.04, -0.01])
+        x_t, eta = self.resume(x, init)
+        assert np.abs(eta).max() <= 0.05
+        assert x_t.min() >= 0.0 and x_t.max() <= 1.0
+        assert np.array_equal(x_t, x + eta)
+        assert x_t[:4].tolist() == [0.0, 1.0, 0.05, 0.95]
+        assert x_t[5] == 0.0 and x_t[6] == 1.0
+
+    def test_valid_init_eta_arrives_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.05, 0.95, size=12)
+        init = rng.uniform(-0.05, 0.05, size=12)
+        init[:2] = [0.05, -0.05]
+        x_t, eta = self.resume(x, init)
+        assert np.array_equal(x_t, x + init)
+        assert np.array_equal(eta, init)
 
 
 class TestFgsm:

@@ -174,6 +174,27 @@ def test_run_malformed_config_exits_1(runner, tmp_path, path, value, field):
     assert f"config error: {field} must" in result.output
 
 
+@pytest.mark.parametrize("section, repeated, key", [
+    # a repeated object used to win silently, running with epsilon 0.3
+    (None, '"attack": {"epsilon": 0.3}', "attack"),
+    ("attack", '"epsilon": 0.3', "epsilon"),
+])
+def test_run_duplicate_key_exits_1(runner, tmp_path, section, repeated, key):
+    text = json.dumps(_config_dict())
+    if section is None:
+        text = text[:-1] + ", " + repeated + "}"
+    else:
+        anchor = f'"{section}": {{'
+        text = text.replace(anchor, anchor + repeated + ", ", 1)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["run", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert f"repeats the key {key!r}" in result.output and str(cfg) in result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "attack", "project"])
 def test_negative_seed_override_exits_1(runner, tmp_path, command):
     cfg = _write_config(tmp_path)

@@ -76,6 +76,11 @@ class TestLossEnsemble:
         with pytest.raises(ConfigError):
             aggregate_loss_ensemble([pmg(0, 0.1, [1.0])], omega=[0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            aggregate_loss_ensemble([pmg(0, 0.1, [1.0]), pmg(1, 0.2, [2.0])], omega=[bad, 1.0])
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             aggregate_loss_ensemble([])
@@ -256,3 +261,8 @@ class TestStrategyDispatch:
     def test_nonpositive_strategy_weights_rejected(self):
         with pytest.raises(ConfigError):
             EnsembleStrategy(kind="loss_ensemble", weights_omega=(1.0, -1.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_strategy_weights_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            EnsembleStrategy(kind="loss_ensemble", weights_omega=(bad, 1.0))

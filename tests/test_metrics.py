@@ -174,7 +174,7 @@ class TestSurrogateEmbedder:
             SurrogateEmbedder([1], 64).embed(y), SurrogateEmbedder([2], 64).embed(y))
 
     def test_tap_count_and_shapes(self):
-        emb = SurrogateEmbedder([5], 64, widths=(32, 24, 16))
+        emb = SurrogateEmbedder([5], 64)
         taps = emb.features(image(4))
         assert [t.size for t in taps] == [32, 24, 16]
 
