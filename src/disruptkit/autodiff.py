@@ -455,9 +455,8 @@ def _as_float(v) -> float:
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """Named, immutable collection of tensors with the seed that produced them."""
+    """Named, immutable collection of tensors."""
 
-    seed: int
     tensors: Mapping[str, Tensor] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> Tensor:

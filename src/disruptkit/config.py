@@ -295,7 +295,7 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
 
     def reject_constant(name: str):

@@ -169,10 +169,13 @@ def write_pnm(path, image: np.ndarray) -> None:
 def load_dataset_from_directory(path) -> SyntheticDataset:
     """All .pgm/.ppm files under a directory, sorted by name for determinism."""
     root = Path(path)
-    files = sorted(p for p in root.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
+    try:
+        files = sorted(p for p in root.iterdir() if p.suffix.lower() in (".pgm", ".ppm"))
+        arrays = [read_pnm(p) for p in files]
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset.path {root}: {exc}") from exc
     if not files:
         raise ConfigError(f"no .pgm/.ppm files found in {root}")
-    arrays = [read_pnm(p) for p in files]
     shape = arrays[0].shape
     for p, a in zip(files, arrays):
         if a.shape != shape:

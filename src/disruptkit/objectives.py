@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .dataset import stack_axes
 from .errors import ConfigError
 from .zoo import TwoStageModel
 
@@ -43,7 +44,7 @@ class LatentAttackObjective:
         """Freeze E(X) now; return a taped per-image loss of the perturbed images."""
         with ad.stop_recording():
             ref = model.encode(X)
-        latent_rank = len(model.latent_spec.shape)
+        latent_rank = len(model.latent_shape)
 
         def loss(x_pert: Tensor) -> Tensor:
             return ad.mse_loss(model.encode(x_pert), ref, latent_rank)
@@ -79,7 +80,7 @@ class ImageAttackObjective:
         and one generate serve all of them, and each image's loss is the mean
         over (K, H, W, C).
         """
-        lead = X.shape[:len(X.shape) - len(model.dims.image_shape)]
+        lead = stack_axes(X.shape)
         outputs = attribute_outputs(model, self.attrs_for(model), lead)
         with ad.stop_recording():
             refs = outputs(model.encode(X))
@@ -104,7 +105,7 @@ def attribute_outputs(model: TwoStageModel, attrs: Sequence[Tensor],
     """
     stacked = np.stack([c.data for c in attrs])
     c = Tensor._wrap(np.broadcast_to(stacked, lead + stacked.shape))
-    latent_shape = model.latent_spec.shape
+    latent_shape = model.latent_shape
     fanned = lead + (len(attrs),) + latent_shape
 
     def outputs(z: Tensor) -> Tensor:

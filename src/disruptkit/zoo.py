@@ -15,10 +15,13 @@ All parameters are frozen random draws from a named seed; no training
 happens anywhere. Encoders never see the attribute input, so the latent is
 a pure function of (params, X) by construction.
 
-Every stage takes leading batch axes: ``encode`` maps ``[..., H, W, C]``
-images to ``[..., *latent_shape]`` latents, and ``generate`` takes latents
-and conditioning (``[..., A]``, or ``[..., H, W, C]`` for the swapper) with
-the same leading axes. A single image is the case with no leading axes.
+An archetype is declared once, in ``_layer_plan``: its encoder and
+generator layer tables, its ``latent_shape`` and its ``condition_shape``
+(``(A,)``, or the image shape ``(H, W, C)`` for the swapper). Every stage
+takes leading batch axes: ``encode`` maps ``[..., H, W, C]`` images to
+``[..., *latent_shape]`` latents, and ``generate`` takes latents and
+``[..., *condition_shape]`` conditioning with the same leading axes. A
+single image is the case with no leading axes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import ConfigError, ShapeError
 
 __all__ = [
     "ARCHETYPES",
-    "LatentSpec",
     "ModelDims",
     "TwoStageModel",
     "AttributeSet",
@@ -46,23 +48,6 @@ __all__ = [
 ]
 
 ARCHETYPES = ("vec_conditional", "refiner", "swapper", "reenactor")
-
-
-@dataclass(frozen=True)
-class LatentSpec:
-    """Shape and flavor of a model's intermediate latent."""
-
-    kind: str  # vector | feature_map | image_shaped
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        rank = len(self.shape)
-        if self.kind == "vector" and rank != 1:
-            raise ConfigError(f"vector latent must be rank 1, got shape {self.shape}")
-        if self.kind == "feature_map" and rank != 3:
-            raise ConfigError(f"feature_map latent must be rank 3, got shape {self.shape}")
-        if self.kind not in ("vector", "feature_map", "image_shaped"):
-            raise ConfigError(f"unknown latent kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +98,7 @@ def init_parameters(seed_entropy: Sequence[int], layers: Sequence[tuple[str, int
         bound = 1.0 / np.sqrt(in_dim)
         tensors[f"{name}.w"] = Tensor._wrap(rng.uniform(-bound, bound, size=(out_dim, in_dim)))
         tensors[f"{name}.b"] = Tensor._wrap(np.zeros(out_dim))
-    return ParameterSet(seed=int(seed_entropy[0]), tensors=tensors)
+    return ParameterSet(tensors=tensors)
 
 
 @dataclass
@@ -141,28 +126,24 @@ class TwoStageModel:
     archetype: str
     encoder_params: ParameterSet
     generator_params: ParameterSet
-    latent_spec: LatentSpec
-    attribute_arity: int
-    seed: int
+    latent_shape: tuple[int, ...]
+    condition_shape: tuple[int, ...]
     dims: ModelDims
     counters: _Counters = field(default_factory=_Counters, compare=False, repr=False)
 
     # -- encoding stage ----------------------------------------------------
 
     def encode(self, X: Tensor) -> Tensor:
-        """E(X): ``[..., H, W, C]`` images to ``[..., *latent_spec.shape]``; never reads any attribute."""
+        """E(X): ``[..., H, W, C]`` images to ``[..., *latent_shape]``; never reads any attribute."""
         lead = self._batch_axes(X, self.dims.image_shape, "encode input")
         self.counters.encode_calls += 1
         p = self.encoder_params
         x_flat = ad.reshape(X, lead + (self.dims.pixels,))
         h = ad.tanh(ad.forward_affine(x_flat, p["enc1.w"], p["enc1.b"]))
-        if self.archetype == "reenactor":
-            n_flat = ad.sigmoid(ad.forward_affine(h, p["enc2.w"], p["enc2.b"]))
-            return ad.reshape(n_flat, lead + self.latent_spec.shape)
-        z = ad.tanh(ad.forward_affine(h, p["enc2.w"], p["enc2.b"]))
-        if self.latent_spec.kind == "feature_map":
-            return ad.reshape(z, lead + self.latent_spec.shape)
-        return z
+        # the reenactor's latent is a neutral image, so it lives in [0,1] like one
+        squash = ad.sigmoid if self.archetype == "reenactor" else ad.tanh
+        z = squash(ad.forward_affine(h, p["enc2.w"], p["enc2.b"]))
+        return ad.reshape(z, lead + self.latent_shape) if len(self.latent_shape) > 1 else z
 
     # -- generation stage --------------------------------------------------
 
@@ -171,37 +152,27 @@ class TwoStageModel:
 
         ``latent`` and ``c`` must have the same leading axes.
         """
-        lead = self._batch_axes(latent, self.latent_spec.shape, "latent")
-        c_shape = self.dims.image_shape if self.archetype == "swapper" else (self.attribute_arity,)
-        if self._batch_axes(c, c_shape, "conditioning") != lead:
+        lead = self._batch_axes(latent, self.latent_shape, "latent")
+        if self._batch_axes(c, self.condition_shape, "conditioning") != lead:
             raise ShapeError(
                 f"{self.name}: conditioning shape {c.shape} and latent shape {latent.shape}"
                 " have different leading axes")
         self.counters.generate_calls += 1
         p = self.generator_params
-        if self.archetype == "vec_conditional":
-            z = ad.reshape(latent, lead + (self.dims.latent_dim,)) \
-                if self.latent_spec.kind == "feature_map" else latent
-            u = ad.concatenate([z, c], axis=-1)
-            return self._decode(ad.tanh(ad.forward_affine(u, p["gen1.w"], p["gen1.b"])), lead)
         if self.archetype == "refiner":
-            state = latent
+            h = latent
             for _ in range(self.dims.refine_steps):
-                step_in = ad.concatenate([state, c], axis=-1)
-                state = ad.add(state, ad.tanh(ad.forward_affine(step_in, p["refine.w"], p["refine.b"])))
-            return self._decode(ad.tanh(ad.forward_affine(state, p["gen1.w"], p["gen1.b"])), lead)
-        if self.archetype == "swapper":
+                step_in = ad.concatenate([h, c], axis=-1)
+                h = ad.add(h, ad.tanh(ad.forward_affine(step_in, p["refine.w"], p["refine.b"])))
+        elif self.archetype == "swapper":
             c_flat = ad.reshape(c, lead + (self.dims.pixels,))
             target_feat = ad.tanh(ad.forward_affine(c_flat, p["target.w"], p["target.b"]))
-            mix = ad.concatenate([latent, target_feat], axis=-1)
-            return self._decode(ad.tanh(ad.forward_affine(mix, p["gen1.w"], p["gen1.b"])), lead)
-        # reenactor: warp the neutral image by the action-unit vector
-        n_flat = ad.reshape(latent, lead + (self.dims.pixels,))
-        u = ad.concatenate([n_flat, c], axis=-1)
-        return self._decode(ad.tanh(ad.forward_affine(u, p["gen1.w"], p["gen1.b"])), lead)
-
-    def _decode(self, h: Tensor, lead: tuple[int, ...]) -> Tensor:
-        p = self.generator_params
+            h = ad.concatenate([latent, target_feat], axis=-1)
+        else:  # vec_conditional and reenactor: the flat latent with c appended
+            if len(self.latent_shape) > 1:
+                latent = ad.reshape(latent, lead + (int(np.prod(self.latent_shape)),))
+            h = ad.concatenate([latent, c], axis=-1)
+        h = ad.tanh(ad.forward_affine(h, p["gen1.w"], p["gen1.b"]))
         y_flat = ad.sigmoid(ad.forward_affine(h, p["gen2.w"], p["gen2.b"]))
         return ad.reshape(y_flat, lead + self.dims.image_shape)
 
@@ -222,32 +193,26 @@ class TwoStageModel:
         return self.generator_params.count / self.encoder_params.count
 
 
-def _layer_plan(archetype: str, dims: ModelDims) -> tuple[list, list, LatentSpec, int]:
+def _layer_plan(archetype: str, dims: ModelDims) -> tuple[list, list, tuple, tuple]:
+    """An archetype's encoder and generator layers (name, out, in), latent and conditioning shapes.
+
+    The layer lists are in draw order: reordering them changes every weight.
+    """
+    if dims.latent_shape is not None and archetype != "vec_conditional":
+        raise ConfigError(f"latent_shape is only supported by vec_conditional, not {archetype}")
     P, L, He, Hg, A = (dims.pixels, dims.latent_dim, dims.encoder_hidden,
                        dims.generator_hidden, dims.attribute_dim)
+    enc = [("enc1", He, P), ("enc2", L, He)]
     if archetype == "vec_conditional":
-        if dims.latent_shape is not None:
-            spec = LatentSpec("feature_map", dims.latent_shape)
-        else:
-            spec = LatentSpec("vector", (L,))
-        enc = [("enc1", He, P), ("enc2", L, He)]
-        gen = [("gen1", Hg, L + A), ("gen2", P, Hg)]
-        return enc, gen, spec, A
+        return enc, [("gen1", Hg, L + A), ("gen2", P, Hg)], dims.latent_shape or (L,), (A,)
     if archetype == "refiner":
-        spec = LatentSpec("vector", (L,))
-        enc = [("enc1", He, P), ("enc2", L, He)]
-        gen = [("refine", L, L + A), ("gen1", Hg, L), ("gen2", P, Hg)]
-        return enc, gen, spec, A
+        return enc, [("refine", L, L + A), ("gen1", Hg, L), ("gen2", P, Hg)], (L,), (A,)
     if archetype == "swapper":
-        spec = LatentSpec("vector", (L,))
-        enc = [("enc1", He, P), ("enc2", L, He)]
         gen = [("target", L, P), ("gen1", Hg, 2 * L), ("gen2", P, Hg)]
-        return enc, gen, spec, P
+        return enc, gen, (L,), dims.image_shape
     if archetype == "reenactor":
-        spec = LatentSpec("image_shaped", dims.image_shape)
         enc = [("enc1", He, P), ("enc2", P, He)]
-        gen = [("gen1", Hg, P + A), ("gen2", P, Hg)]
-        return enc, gen, spec, A
+        return enc, [("gen1", Hg, P + A), ("gen2", P, Hg)], dims.image_shape, (A,)
     raise ConfigError(f"unknown archetype {archetype!r}; expected one of {ARCHETYPES}")
 
 
@@ -255,17 +220,14 @@ def build_model(archetype: str, seed: int, dims: ModelDims | None = None,
                 name: str | None = None) -> TwoStageModel:
     """Deterministic model: same (archetype, seed, dims) always gives identical weights."""
     dims = dims or ModelDims()
-    if dims.latent_shape is not None and archetype != "vec_conditional":
-        raise ConfigError(f"latent_shape is only supported by vec_conditional, not {archetype}")
-    enc_plan, gen_plan, spec, arity = _layer_plan(archetype, dims)
+    enc_plan, gen_plan, latent_shape, condition_shape = _layer_plan(archetype, dims)
     return TwoStageModel(
         name=name or f"{archetype}_{seed}",
         archetype=archetype,
         encoder_params=init_parameters([seed, 0], enc_plan),
         generator_params=init_parameters([seed, 1], gen_plan),
-        latent_spec=spec,
-        attribute_arity=arity,
-        seed=seed,
+        latent_shape=latent_shape,
+        condition_shape=condition_shape,
         dims=dims,
     )
 
@@ -299,8 +261,8 @@ def sample_attribute(model: TwoStageModel, rng: np.random.Generator) -> Tensor:
     is a target-face image drawn from the same blob distribution as sources.
     """
     if model.archetype == "swapper":
-        return Tensor._wrap(bump_image(rng, model.dims.image_shape))
-    return Tensor._wrap(rng.uniform(-1.0, 1.0, size=model.attribute_arity))
+        return Tensor._wrap(bump_image(rng, model.condition_shape))
+    return Tensor._wrap(rng.uniform(-1.0, 1.0, size=model.condition_shape))
 
 
 def sample_attribute_set(model: TwoStageModel, n_known: int, n_unknown: int,

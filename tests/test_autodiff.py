@@ -481,7 +481,7 @@ class TestFiniteDifference:
 
 class TestParameterSet:
     def test_count_and_access(self):
-        ps = ad.ParameterSet(seed=0, tensors={
+        ps = ad.ParameterSet(tensors={
             "w": ad.Tensor(np.zeros((3, 4))),
             "b": ad.Tensor(np.zeros(3)),
         })

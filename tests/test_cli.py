@@ -107,6 +107,15 @@ def test_run_missing_config_exits_1(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_run_non_utf8_config_exits_1(runner, tmp_path):
+    cfg = tmp_path / "config.json"
+    text = json.dumps(_config_dict(output_dir="caf\u00e9"), ensure_ascii=False)
+    cfg.write_bytes(text.encode("latin-1"))
+    result = runner.invoke(main, ["run", "--config", str(cfg)])
+    assert result.exit_code == 1, result.output
+    assert f"cannot read config {cfg}" in result.output
+
+
 def test_run_invalid_json_exits_1(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -205,14 +214,28 @@ def test_negative_seed_override_exits_1(runner, tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_runtime_failure_exits_2(runner, tmp_path):
-    # dataset path that exists but is a file: surfaces as an OS-level error
-    blocker = tmp_path / "blocker"
-    blocker.write_text("x")
-    cfg = _write_config(
-        tmp_path, dataset={"kind": "directory", "path": str(blocker)})
+def test_run_runtime_failure_exits_2(runner, tmp_path, monkeypatch):
+    def fail(config):
+        raise RuntimeError("attack diverged")
+
+    monkeypatch.setattr("disruptkit.cli.run_experiment", fail)
+    cfg = _write_config(tmp_path)
     result = runner.invoke(main, ["run", "--config", str(cfg)])
     assert result.exit_code == 2
+    assert "error: attack diverged" in result.output
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_run_unreadable_dataset_path_exits_1(runner, tmp_path, kind):
+    path = tmp_path / "imgs"
+    if kind == "file":
+        path.write_text("a file, not a directory")
+    cfg = _write_config(tmp_path, dataset={"kind": "directory", "path": str(path)})
+    result = runner.invoke(main, ["run", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert f"dataset.path {path}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_attack_emits_eta_json(runner, tmp_path):

@@ -97,7 +97,11 @@ def test_leat_eta_identical_white_vs_gray():
 
 
 def test_leat_runtime_below_image_attack(report):
-    assert report.runtime_seconds["leat"] < report.runtime_seconds["image_attack"]
+    # noise only adds time, so each method's fastest of three runs is compared
+    runs = [report] + [run_experiment(parse_config(_raw())) for _ in range(2)]
+    fastest = {method: min(r.runtime_seconds[method] for r in runs)
+               for method in ("leat", "image_attack")}
+    assert fastest["leat"] < fastest["image_attack"]
 
 
 def test_emit_writes_expected_files(report, tmp_path):

@@ -68,19 +68,18 @@ class TestBuildDeterminism:
 class TestLatentSpecs:
     def test_reenactor_latent_is_image_shaped(self):
         m = zoo.build_model("reenactor", seed=0)
-        assert m.latent_spec.kind == "image_shaped"
-        assert m.latent_spec.shape == m.dims.image_shape
+        assert m.latent_shape == m.dims.image_shape
+        assert m.condition_shape == (m.dims.attribute_dim,)
 
     def test_vector_latents(self):
         for archetype in ("vec_conditional", "refiner", "swapper"):
             m = zoo.build_model(archetype, seed=0)
-            assert m.latent_spec.kind == "vector"
-            assert m.latent_spec.shape == (m.dims.latent_dim,)
+            assert m.latent_shape == (m.dims.latent_dim,)
 
     def test_feature_map_latent_variant(self):
         dims = zoo.ModelDims(latent_dim=12, latent_shape=(3, 2, 2))
         m = zoo.build_model("vec_conditional", seed=0, dims=dims)
-        assert m.latent_spec.kind == "feature_map"
+        assert m.latent_shape == (3, 2, 2)
         z = m.encode(source_image())
         assert z.shape == (3, 2, 2)
         y = m.generate(z, attr_for(m))
@@ -92,18 +91,16 @@ class TestLatentSpecs:
             zoo.build_model("refiner", seed=0, dims=dims)
 
     def test_latent_spec_rank_validation(self):
-        with pytest.raises(ConfigError):
-            zoo.LatentSpec("vector", (3, 2))
-        with pytest.raises(ConfigError):
-            zoo.LatentSpec("feature_map", (4,))
-        with pytest.raises(ConfigError):
-            zoo.LatentSpec("holographic", (4,))
+        # a latent_shape must be rank 3 and hold exactly latent_dim values
+        for bad in [(12,), (3, 4), (3, 2, 2, 1), (3, 0, 4), (3, 2, 3)]:
+            with pytest.raises(ConfigError):
+                zoo.ModelDims(latent_dim=12, latent_shape=bad)
 
 
 class TestEncode:
     def test_latent_shape_contract(self, model):
         z = model.encode(source_image())
-        assert z.shape == model.latent_spec.shape
+        assert z.shape == model.latent_shape
 
     def test_zero_image_zero_latent_for_tanh_encoders(self):
         for archetype in ("vec_conditional", "refiner", "swapper"):
@@ -154,14 +151,14 @@ class TestGenerate:
         c_rng = np.random.default_rng(8)
         m4 = zoo.build_model("refiner", seed=6)
         m0 = zoo.build_model("refiner", seed=6, dims=zoo.ModelDims(refine_steps=0))
-        c = Tensor(c_rng.uniform(-1, 1, size=m4.attribute_arity))
+        c = Tensor(c_rng.uniform(-1, 1, size=m4.condition_shape))
         y4 = m4.full_forward(z_src, c)
         y0 = m0.full_forward(z_src, c)
         assert np.max(np.abs(y4.data - y0.data)) > 1e-6
 
     def test_swapper_conditioning_is_an_image(self):
         m = zoo.build_model("swapper", seed=2)
-        assert m.attribute_arity == m.dims.pixels
+        assert m.condition_shape == m.dims.image_shape
         target_face = attr_for(m)
         assert target_face.shape == m.dims.image_shape
         y = m.generate(m.encode(source_image(1)), target_face)
@@ -175,9 +172,60 @@ class TestGenerate:
             m.generate(m.encode(source_image(1)), Tensor(np.zeros(7)))
 
     def test_latent_shape_validation(self, model):
-        bad = Tensor(np.zeros([s + 1 for s in model.latent_spec.shape]))
+        bad = Tensor(np.zeros([s + 1 for s in model.latent_shape]))
         with pytest.raises(ShapeError):
             model.generate(bad, attr_for(model))
+
+
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def numpy_encode(m, x):
+    """E(x) written out in plain numpy, from the layer names alone."""
+    p = {n: m.encoder_params[n].data for n in m.encoder_params.names()}
+    h = np.tanh(p["enc1.w"] @ x.reshape(-1) + p["enc1.b"])
+    pre = p["enc2.w"] @ h + p["enc2.b"]
+    if m.archetype == "reenactor":
+        return _sigmoid(pre).reshape(m.dims.image_shape)
+    z = np.tanh(pre)
+    return z.reshape(m.dims.latent_shape) if m.dims.latent_shape else z
+
+
+def numpy_generate(m, z, c):
+    """G(z, c) written out in plain numpy, from the layer names alone."""
+    p = {n: m.generator_params[n].data for n in m.generator_params.names()}
+    if m.archetype == "refiner":
+        u = z
+        for _ in range(m.dims.refine_steps):
+            u = u + np.tanh(p["refine.w"] @ np.concatenate([u, c]) + p["refine.b"])
+    elif m.archetype == "swapper":
+        u = np.concatenate([z, np.tanh(p["target.w"] @ c.reshape(-1) + p["target.b"])])
+    else:
+        u = np.concatenate([z.reshape(-1), c])
+    h = np.tanh(p["gen1.w"] @ u + p["gen1.b"])
+    return _sigmoid(p["gen2.w"] @ h + p["gen2.b"]).reshape(m.dims.image_shape)
+
+
+class TestNumpyOracle:
+    @pytest.mark.parametrize("archetype, dims", [
+        ("vec_conditional", {}),
+        ("vec_conditional", {"latent_dim": 12, "latent_shape": (3, 2, 2)}),
+        ("refiner", {}),
+        ("refiner", {"refine_steps": 2}),
+        ("swapper", {}),
+        ("reenactor", {}),
+    ])
+    def test_encode_and_generate_match_numpy(self, archetype, dims):
+        m = zoo.build_model(archetype, seed=21, dims=zoo.ModelDims(**dims))
+        x = source_image(6)
+        c = attr_for(m, seed=22)
+        z = m.encode(x)
+        want = numpy_encode(m, x.data)
+        assert z.shape == want.shape
+        assert np.max(np.abs(z.data - want)) < 1e-12
+        y = m.generate(z, c)
+        assert np.max(np.abs(y.data - numpy_generate(m, z.data, c.data))) < 1e-12
 
 
 class TestBatchAxes:
@@ -188,7 +236,7 @@ class TestBatchAxes:
         X = Tensor(np.stack([x.data for x in images.images]))
         C = Tensor(np.stack([[c.data for c in row] for row in attrs]))
         Z = model.encode(X)
-        assert Z.shape == (3,) + model.latent_spec.shape
+        assert Z.shape == (3,) + model.latent_shape
         Zk = Tensor(np.repeat(Z.data[:, None], 2, axis=1))
         Y = model.generate(Zk, C)
         assert Y.shape == (3, 2) + model.dims.image_shape
