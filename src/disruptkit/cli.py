@@ -14,19 +14,12 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .attacks import build_gradient_provider, run_attack
 from .config import OBJECTIVE_KINDS, load_config, parse_config
 from .errors import ConfigError
-from .harness import (
-    _build_objective,
-    build_world,
-    emit_reports,
-    run_experiment,
-    write_report,
-)
-from .metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
+from .harness import build_world, craft, emit_reports, run_experiment, scorer, write_report
 from .objectives import attribute_outputs
 # not called here; bench/tracing.py wraps these names in each module that binds them
+from .attacks import build_gradient_provider, run_attack  # noqa: F401
 from .zoo import build_model, sample_attribute_set  # noqa: F401
 
 
@@ -98,20 +91,16 @@ def run(config_path, out_dir, seed_override, scenario):
 @click.option("--seed-override", default=None, type=int)
 @_guarded
 def attack(config_path, out_path, image_index, method, seed_override):
-    """Craft one perturbation and write it as JSON."""
+    """Craft one image's perturbation, as `run` does for that image, and write it as JSON."""
     config = _apply_overrides(load_config(config_path), seed_override, None)
     if method not in config.objectives:
         raise ConfigError(f"method {method!r} is not in config.objectives")
     models, pools, dataset = build_world(config)
     if not 0 <= image_index < len(dataset):
         raise ConfigError(f"image_index {image_index} outside dataset of {len(dataset)}")
-    attack_models = [models[n] for n in config.attack_model_names()]
-    known = {m.name: pools[m.name].known for m in attack_models}
-    X = dataset[image_index]
-    per_image = replace(config.attack, seed=(config.attack.seed, image_index))
-    provider = build_gradient_provider(
-        attack_models, _build_objective(method, known), config.ensemble, X)
-    eta = run_attack(provider, X, per_image)
+    one = replace(config, objectives=(method,),
+                  attack=replace(config.attack, seed=(config.attack.seed, image_index)))
+    eta = craft(one, models, pools, dataset[image_index])[0][method]
     payload = {
         "method": method,
         "image_index": image_index,
@@ -135,9 +124,7 @@ def calibrate(config_path, out_path, pairs):
     models, pools, dataset = build_world(config)
     if len(dataset) < 2:
         raise ConfigError("calibration needs at least 2 images")
-    pixels = int(np.prod(config.dataset.image_shape))
-    id_emb = SurrogateEmbedder([config.metrics_seed, 0], pixels)
-    lp_emb = SurrogateEmbedder([config.metrics_seed, 1], pixels)
+    score = scorer(config)
     rng = np.random.default_rng([config.metrics_seed, 2])
     quantiles = [0.1, 0.25, 0.5, 0.75, 0.9]
     out = {"pairs": pairs, "quantiles": quantiles, "models": {}}
@@ -146,11 +133,9 @@ def calibrate(config_path, out_path, pairs):
                           for _ in range(pairs)])
         outputs = attribute_outputs(model, pools[name].known[:1], (pairs,))
         ya, yb = (outputs(model.encode(dataset.images[side])) for side in drawn.T)
-        dists = {"l2": l2_image(ya, yb), "id": id_distance(ya, yb, id_emb),
-                 "lpips": perceptual_distance(ya, yb, lp_emb)}
         out["models"][name] = {
             metric: [float(q) for q in np.quantile(values, quantiles)]
-            for metric, values in dists.items()
+            for metric, values in zip(("l2", "id", "lpips"), score(ya, yb))
         }
     _write_json(out, out_path)
 

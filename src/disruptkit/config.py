@@ -64,7 +64,6 @@ class ExperimentConfig:
     holdout_model: str | None = None
     thresholds: MetricThresholds = field(default_factory=MetricThresholds)
     metrics_seed: int = 0
-    parallel_workers: int = 1  # schema-1 key, validated and echoed; attacks always run serially
     output_dir: str = "out"
 
     def attack_model_names(self) -> tuple[str, ...]:
@@ -230,7 +229,7 @@ _CONFIG = {
     "holdout_model": _optional(_text),
     "thresholds": _object(_THRESHOLDS, MetricThresholds),
     "metrics_seed": _integer(),
-    "parallel_workers": _integer(1),
+    "parallel_workers": _one_of((1,)),  # accepted from schema-1 files; attacks run serially
     "output_dir": _text,
 }
 
@@ -245,6 +244,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a JSON-shaped mapping and fill in defaults."""
     fields = _read(raw, "", _CONFIG)
     fields.pop("schema_version", None)
+    fields.pop("parallel_workers", None)
     models = tuple(_model(m, i) for i, m in enumerate(_required(fields, "models", "config")))
     names = [m.name for m in models]
     if len(set(names)) != len(names):
@@ -334,6 +334,5 @@ def example_config() -> dict:
         "holdout_model": "held_out",
         "thresholds": {"l2": 0.05, "id": 0.6, "lpips": 0.4},
         "metrics_seed": 0,
-        "parallel_workers": 1,
         "output_dir": "out",
     }

@@ -1,13 +1,13 @@
 """End-to-end experiment driver.
 
-Perturbations are crafted once per (method, image) against the attack-time
-models, then reused by every scenario evaluation; the holdout model is never
-part of the attack ensemble, so white/gray/black-box rows all describe the
-same perturbation. Each method attacks the whole dataset as one stack, in
-index order, so the batch layout (and with it every floating-point bit) is a
-pure function of the config; image i still starts from the seed
-(attack.seed, i). Evaluation-phase rows and aggregates are pure functions of
-the config, which is what makes rerun outputs byte-identical.
+Every command runs the protocol through two functions: `craft`, the attack
+phase, and `scorer`, the three distances under the config's seeded
+embedders. The holdout model is never part of the attack ensemble (`craft`
+checks its call counters), so white/gray/black-box rows all describe the
+same perturbation. `run_experiment` attacks the whole dataset as one stack,
+in index order, so the batch layout (and with it every floating-point bit)
+is a pure function of the config; image i still starts from the seed
+(attack.seed, i), as `disruptkit attack` on image i alone does.
 """
 
 import csv
@@ -87,12 +87,6 @@ def _load_images(config: ExperimentConfig) -> SyntheticDataset:
     return generate_dataset(seed=spec.seed, count=spec.count, shape=spec.image_shape)
 
 
-def _build_objective(method: str, known_attrs: dict):
-    if method == "leat":
-        return LatentAttackObjective()
-    return ImageAttackObjective(attributes_by_model=known_attrs)
-
-
 def _scenario_plan(config: ExperimentConfig, scenario: str, models: dict, pools: dict):
     """Which models to evaluate, and each one's conditioning list."""
     if scenario == "black_box":
@@ -123,51 +117,71 @@ def build_world(config: ExperimentConfig) -> tuple[dict, dict, SyntheticDataset]
     return models, pools, dataset
 
 
-def run_experiment(config: ExperimentConfig) -> EvaluationReport:
-    """Craft every perturbation, then evaluate all configured scenarios.
+def craft(config: ExperimentConfig, models: dict, pools: dict, X: Tensor):
+    """Attack ``X`` (one image or a stack) with each method of ``config.objectives``.
 
-    Each method runs one provider + attack over the whole dataset;
-    ``config.parallel_workers`` is ignored. With no scenarios configured,
-    only the attacks and the latent projection run.
+    Returns ``(etas, runtime_seconds, attack_phase_counters)``: per method its
+    eta and the wall time of provider build plus attack, and per model its
+    encode/generate calls. Raises InvariantError if the holdout was called.
     """
-    models, pools, dataset = build_world(config)
     attack_models = [models[n] for n in config.attack_model_names()]
-    known_attrs = {m.name: pools[m.name].known for m in attack_models}
-
+    known = {m.name: pools[m.name].known for m in attack_models}
     for model in models.values():
         model.counters.reset()
-
-    # -- attack phase: one eta per (method, image), holdout never touched ----
-    n_images = len(dataset)
-    X = dataset.images
-    groups = {"clean": X}  # the input stacks every model encodes for evaluation
-    etas = {}
-    runtime = {}
+    etas, runtime = {}, {}
     for method in config.objectives:
-        objective = _build_objective(method, known_attrs)
+        objective = (LatentAttackObjective() if method == "leat"
+                     else ImageAttackObjective(attributes_by_model=known))
         start = time.perf_counter()
         provider = build_gradient_provider(attack_models, objective, config.ensemble, X)
-        eta = run_attack(provider, X, config.attack)
+        etas[method] = run_attack(provider, X, config.attack)
         runtime[method] = time.perf_counter() - start
-        etas[method] = eta
-        groups[method] = Tensor._wrap(X.data + eta.data)
-    attack_counters = {
+    counters = {
         name: {"encode_calls": m.counters.encode_calls,
                "generate_calls": m.counters.generate_calls}
         for name, m in models.items()
     }
     if config.holdout_model is not None:
-        held = attack_counters[config.holdout_model]
+        held = counters[config.holdout_model]
         if held["encode_calls"] or held["generate_calls"]:
             raise InvariantError(
                 f"holdout model {config.holdout_model!r} was called during the attack: {held}")
+    return etas, runtime, counters
+
+
+def scorer(config: ExperimentConfig):
+    """A function giving [l2, id, lpips] of two output stacks [..., H, W, C] as one array.
+
+    Its identity and perceptual embedders are built once, from ``config.metrics_seed``.
+    """
+    pixels = int(np.prod(config.dataset.image_shape))
+    id_embedder = SurrogateEmbedder([config.metrics_seed, 0], pixels)
+    lp_embedder = SurrogateEmbedder([config.metrics_seed, 1], pixels)
+
+    def score(y_a, y_b) -> np.ndarray:
+        return np.array([l2_image(y_a, y_b),
+                         id_distance(y_a, y_b, id_embedder),
+                         perceptual_distance(y_a, y_b, lp_embedder)])
+    return score
+
+
+def run_experiment(config: ExperimentConfig) -> EvaluationReport:
+    """Craft every perturbation, then evaluate all configured scenarios.
+
+    Each method runs one provider + attack over the whole dataset. With no
+    scenarios configured, only the attacks and the latent projection run.
+    """
+    models, pools, dataset = build_world(config)
+    n_images = len(dataset)
+    X = dataset.images
+    etas, runtime, attack_counters = craft(config, models, pools, X)
+    # the input stacks every model encodes for evaluation
+    groups = {"clean": X, **{m: Tensor._wrap(X.data + eta.data) for m, eta in etas.items()}}
 
     # -- evaluation phase: each model encodes each input group once ---------
     latents = {name: {group: model.encode(x) for group, x in groups.items()}
                for name, model in models.items()}
-    pixels = int(np.prod(config.dataset.image_shape))
-    id_embedder = SurrogateEmbedder([config.metrics_seed, 0], pixels)
-    lp_embedder = SurrogateEmbedder([config.metrics_seed, 1], pixels)
+    score = scorer(config)
 
     rows = []
     for scenario in config.scenarios:
@@ -177,9 +191,7 @@ def run_experiment(config: ExperimentConfig) -> EvaluationReport:
             y_clean = outputs(latents[model.name]["clean"])
             for method in config.objectives:
                 y_pert = outputs(latents[model.name][method])
-                dists = np.mean([l2_image(y_clean, y_pert),
-                                 id_distance(y_clean, y_pert, id_embedder),
-                                 perceptual_distance(y_clean, y_pert, lp_embedder)], axis=2)
+                dists = np.mean(score(y_clean, y_pert), axis=2)
                 for index, values in enumerate(dists.T.tolist()):
                     rows.append(EvaluationRow(scenario, method, model.name, index, *values,
                                               classify_success(*values, config.thresholds)))

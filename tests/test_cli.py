@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from disruptkit.cli import main
-from disruptkit.config import load_config
+from disruptkit.config import ExperimentConfig, load_config
 from disruptkit.harness import build_world, run_experiment
 from disruptkit.metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
 
@@ -171,6 +171,8 @@ def _set(raw, path, value):
     (("models", 0, "dims", "image_shape"), [8.5, 8, 1], "models[0].dims.image_shape[0]"),
     (("dataset", "image_shape"), [8.0, 8, 1], "dataset.image_shape[0]"),
     (("schema_version",), True, "schema_version"),
+    # the removed worker-count option: schema-1 files may only say 1
+    (("parallel_workers",), 2, "parallel_workers"),
 ])
 def test_run_malformed_config_exits_1(runner, tmp_path, path, value, field):
     raw = _config_dict()
@@ -223,6 +225,21 @@ def test_run_runtime_failure_exits_2(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["run", "--config", str(cfg)])
     assert result.exit_code == 2
     assert "error: attack diverged" in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "attack"])
+def test_holdout_called_exits_2(runner, tmp_path, monkeypatch, command):
+    # an ensemble that wrongly includes the holdout must stop before any eta is written
+    monkeypatch.setattr(ExperimentConfig, "attack_model_names",
+                        lambda self: tuple(m.name for m in self.models))
+    models = _config_dict()["models"] + [
+        {"name": "held_out", "archetype": "vec_conditional", "seed": 2}]
+    cfg = _write_config(tmp_path, models=models, holdout_model="held_out")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "error: holdout model 'held_out' was called during the attack" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["missing", "file"])

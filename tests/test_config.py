@@ -28,7 +28,7 @@ class TestDefaults:
         assert cfg.objectives == ("image_attack", "leat")
         assert cfg.scenarios == ("white_box", "gray_box")
         assert cfg.ensemble.kind == "normalized_gradient_ensemble"
-        assert cfg.parallel_workers == 1
+        assert "parallel_workers" not in cfg.normalized()
 
     def test_default_model_name_from_archetype_and_seed(self):
         cfg = parse_config(minimal())

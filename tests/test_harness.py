@@ -122,14 +122,6 @@ def test_rerun_byte_identical(report, tmp_path):
         assert pa.read_bytes() == pb.read_bytes(), pa.name
 
 
-def test_parallel_rows_match_serial(report, tmp_path):
-    # parallel_workers is accepted for schema-1 configs and ignored
-    rep2 = run_experiment(parse_config(_raw(parallel_workers=2)))
-    serial = emit_reports(report, tmp_path / "serial")[0].read_bytes()
-    parallel = emit_reports(rep2, tmp_path / "parallel")[0].read_bytes()
-    assert parallel == serial
-
-
 def test_summary_aggregates_match_csv(report, tmp_path):
     out = emit_reports(report, tmp_path / "out")
     with open(out[0], newline="") as fh:
