@@ -92,8 +92,6 @@ def _project(x: np.ndarray, eta: np.ndarray, eps: float) -> tuple[np.ndarray, np
     """(X + eta, eta) with eta clipped to +/-eps and X + eta settled into [0,1]."""
     eta = np.clip(eta, -eps, eps)
     x_t = x + eta
-    if x_t.min() >= 0.0 and x_t.max() <= 1.0:
-        return x_t, eta
     eta = np.where(x_t < 0.0, -x, np.where(x_t > 1.0, 1.0 - x, eta))
     return x + eta, eta
 
@@ -180,7 +178,7 @@ def build_gradient_provider(models: Sequence[TwoStageModel], objective: Objectiv
             tape.watch(x_t)
             with ad.recording(tape):
                 losses = loss_fn(x_t)
-            gradient = ad.backward(losses, x_t, summed=True)
+            gradient = ad.backward(losses, x_t)
             _check_finite(model, losses.data, gradient.data)
             per_model.append(PerModelGradient(
                 model_id=model_id, loss_value=losses.data, gradient=gradient))

@@ -12,8 +12,10 @@ Recording is opt-in: ops consult the active tape and compute
 plainly when none is active (used for frozen reference values). A tape tracks
 only the tensors it watches and the outputs of ops it recorded; an op with no
 tracked input is not recorded, and a backward pass computes no gradient for an
-untracked input (model weights, frozen references). A tape is never mutated by
-a backward pass, so it can be differentiated repeatedly.
+untracked input (model weights, frozen references). A backward pass always
+differentiates the sum of the loss's elements, so one pass over a stack's
+per-image losses gives each image its own gradient. A tape is never mutated
+by a backward pass, so it can be differentiated repeatedly.
 """
 
 from __future__ import annotations
@@ -167,9 +169,7 @@ class Tape:
         self._known.add(id(output))
         output._tape_ref = self._ref
 
-    def gradient(self, loss: Tensor, wrt: Tensor, summed: bool = False) -> Tensor:
-        if loss.size != 1 and not summed:
-            raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+    def gradient(self, loss: Tensor, wrt: Tensor) -> Tensor:
         if id(wrt) not in self._known:
             raise LineageError("requested tensor was never recorded on this tape")
         if id(loss) not in self._known:
@@ -398,26 +398,23 @@ def scale(input: Tensor, factor: float) -> Tensor:
 
 def mse_loss(a: Tensor, b: Tensor, axes: int | None = None) -> Tensor:
     """Mean of squared elementwise differences over the last ``axes`` axes (all by default)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mse_loss shapes differ: {a.shape} vs {b.shape}")
     return mean(squared_difference(a, b), axes)
 
 
-def backward(loss: Tensor, wrt: Tensor, *, summed: bool = False) -> Tensor:
-    """Gradient of a recorded scalar ``loss`` with respect to ``wrt``.
+def backward(loss: Tensor, wrt: Tensor) -> Tensor:
+    """Gradient of the sum of a recorded ``loss``'s elements with respect to ``wrt``.
 
-    With ``summed=True`` the loss may have any shape, and the result is the
-    gradient of the sum of its elements: every element is seeded with
-    exactly 1, so for per-image losses of a stack each image gets its own
-    gradient. The tape is discovered from the loss tensor and left
-    untouched, so it can be differentiated again (also against other
-    tensors). The caller keeps the tape alive: a tensor refers to its tape
-    only weakly.
+    The loss may have any shape: every element is seeded with exactly 1, so
+    a scalar loss gets its plain gradient, and per-image losses of a stack
+    give each image its own gradient. The tape is discovered from the loss
+    tensor and left untouched, so it can be differentiated again (also
+    against other tensors). The caller keeps the tape alive: a tensor refers
+    to its tape only weakly.
     """
     tape = loss._tape
     if tape is None:
         raise LineageError("loss tensor was not produced under a live tape")
-    return tape.gradient(loss, wrt, summed)
+    return tape.gradient(loss, wrt)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .attacks import AttackConfig
 from .ensembles import EnsembleStrategy
 from .errors import ConfigError
 from .metrics import MetricThresholds
-from .zoo import ARCHETYPES, ModelDims
+from .zoo import ARCHETYPES, ModelDims, layer_plan
 
 SCHEMA_VERSION = 1
 SCENARIOS = ("white_box", "gray_box", "black_box")
@@ -115,12 +115,6 @@ def _number(value, where) -> float:
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
-def _flag(value, where) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
 def _text(value, where) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
@@ -201,7 +195,9 @@ _ATTACK = {
     "epsilon": _number,
     "step_a": _number,
     "iterations": _integer(1),
-    "random_init": _flag,
+    # only true: from a zero start every loss is a squared distance to its
+    # own reference, so every gradient is 0 and sign(0) never moves eta
+    "random_init": _one_of((True,)),
     "seed": _integer(),
 }
 _ENSEMBLE = {"kind": _text, "weights_omega": _optional(_list(_number))}
@@ -236,6 +232,10 @@ _CONFIG = {
 
 def _model(fields: dict, index: int) -> ModelSpec:
     archetype = _required(fields, "archetype", f"models[{index}]")
+    try:  # the archetype's rules on dims, checked before any data is built
+        layer_plan(archetype, fields.get("dims", ModelDims()))
+    except ConfigError as exc:
+        raise ConfigError(f"models[{index}].dims: {exc}") from None
     seed = fields.get("seed", index)
     return ModelSpec(**{"name": f"{archetype}_{seed}", "seed": seed, **fields})
 

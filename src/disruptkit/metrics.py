@@ -21,6 +21,7 @@ import numpy as np
 from .autodiff import Tensor
 from .dataset import stack_axes
 from .errors import ConfigError, DegenerateEmbeddingError, ShapeError
+from .zoo import init_parameters
 
 __all__ = [
     "MetricThresholds",
@@ -59,23 +60,19 @@ class SurrogateEmbedder:
     """Frozen random MLP standing in for a pretrained feature network.
 
     ``embed`` returns the final embedding; ``features`` returns every hidden
-    tap for the perceptual distance. Layer widths are EMBEDDER_WIDTHS.
-    Deterministic from (seed, input size); never trained.
+    tap for the perceptual distance. Layer widths are EMBEDDER_WIDTHS; the
+    weights are drawn as a model's are (``zoo.init_parameters``), so they
+    are deterministic from (seed, input size). Never trained.
     """
 
     def __init__(self, seed_entropy: Sequence[int], input_size: int):
         if input_size < 1:
             raise ConfigError("embedder input size must be positive")
-        rng = np.random.default_rng(list(seed_entropy))
         self.input_size = int(input_size)
-        self._layers = []
-        fan_in = input_size
-        for w in EMBEDDER_WIDTHS:
-            bound = 1.0 / np.sqrt(fan_in)
-            weight = rng.uniform(-bound, bound, size=(w, fan_in))
-            weight.flags.writeable = False
-            self._layers.append(weight)
-            fan_in = w
+        fan_ins = (self.input_size,) + EMBEDDER_WIDTHS[:-1]
+        plan = [(f"layer{i}", w, n) for i, (w, n) in enumerate(zip(EMBEDDER_WIDTHS, fan_ins))]
+        params = init_parameters(seed_entropy, plan)
+        self._layers = [params[f"{name}.w"].data for name, _, _ in plan]
 
     def features(self, image) -> list[np.ndarray]:
         """Per-layer activations ``[..., width]`` per image; tanh on all but the last."""

@@ -7,8 +7,10 @@
   attribute information whatsoever (enforced structurally: the objective
   type has no fields) and never invokes the generator.
 
-Reference values (clean outputs and latents) are computed off-tape and
-frozen before any attack iteration, so the optimization target is fixed.
+Both are one rule with a different reference function f (E, or
+G(E(.), c) over the known attributes): ``_frozen_mse`` computes f(X)
+off-tape, once, before any attack iteration, so the optimization target is
+fixed, and each image's loss is its MSE to that frozen reference.
 ``bind`` is the one way to evaluate an objective; ``per_model_image_loss``
 is expressed through it. A bound loss returns one value per image: for a stack
 ``X`` of shape ``[..., H, W, C]`` its shape is ``X``'s leading axes, and for
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataset import stack_axes
+from .dataset import IMAGE_RANK, stack_axes
 from .errors import ConfigError
 from .zoo import TwoStageModel
 
@@ -42,14 +44,7 @@ class LatentAttackObjective:
 
     def bind(self, model: TwoStageModel, X: Tensor) -> Callable[[Tensor], Tensor]:
         """Freeze E(X) now; return a taped per-image loss of the perturbed images."""
-        with ad.stop_recording():
-            ref = model.encode(X)
-        latent_rank = len(model.latent_shape)
-
-        def loss(x_pert: Tensor) -> Tensor:
-            return ad.mse_loss(model.encode(x_pert), ref, latent_rank)
-
-        return loss
+        return _frozen_mse(model.encode, X, len(model.latent_shape))
 
 
 @dataclass(frozen=True)
@@ -80,19 +75,19 @@ class ImageAttackObjective:
         and one generate serve all of them, and each image's loss is the mean
         over (K, H, W, C).
         """
-        lead = stack_axes(X.shape)
-        outputs = attribute_outputs(model, self.attrs_for(model), lead)
-        with ad.stop_recording():
-            refs = outputs(model.encode(X))
-
-        def loss(x_pert: Tensor) -> Tensor:
-            return ad.mse_loss(outputs(model.encode(x_pert)), refs,
-                               1 + len(model.dims.image_shape))
-
-        return loss
+        outputs = attribute_outputs(model, self.attrs_for(model), stack_axes(X.shape))
+        return _frozen_mse(lambda x: outputs(model.encode(x)), X, 1 + IMAGE_RANK)
 
 
 Objective = LatentAttackObjective | ImageAttackObjective
+
+
+def _frozen_mse(f: Callable[[Tensor], Tensor], X: Tensor,
+                rank: int) -> Callable[[Tensor], Tensor]:
+    """Freeze ``f(X)`` off-tape; return x -> mse(f(x), f(X)) over the trailing ``rank`` axes."""
+    with ad.stop_recording():
+        ref = f(X)
+    return lambda x: ad.mse_loss(f(x), ref, rank)
 
 
 def attribute_outputs(model: TwoStageModel, attrs: Sequence[Tensor],

@@ -15,7 +15,7 @@ All parameters are frozen random draws from a named seed; no training
 happens anywhere. Encoders never see the attribute input, so the latent is
 a pure function of (params, X) by construction.
 
-An archetype is declared once, in ``_layer_plan``: its encoder and
+An archetype is declared once, in ``layer_plan``: its encoder and
 generator layer tables, its ``latent_shape`` and its ``condition_shape``
 (``(A,)``, or the image shape ``(H, W, C)`` for the swapper). Every stage
 takes leading batch axes: ``encode`` maps ``[..., H, W, C]`` images to
@@ -43,6 +43,7 @@ __all__ = [
     "AttributeSet",
     "build_model",
     "init_parameters",
+    "layer_plan",
     "sample_attribute",
     "sample_attribute_set",
 ]
@@ -193,7 +194,7 @@ class TwoStageModel:
         return self.generator_params.count / self.encoder_params.count
 
 
-def _layer_plan(archetype: str, dims: ModelDims) -> tuple[list, list, tuple, tuple]:
+def layer_plan(archetype: str, dims: ModelDims) -> tuple[list, list, tuple, tuple]:
     """An archetype's encoder and generator layers (name, out, in), latent and conditioning shapes.
 
     The layer lists are in draw order: reordering them changes every weight.
@@ -220,7 +221,7 @@ def build_model(archetype: str, seed: int, dims: ModelDims | None = None,
                 name: str | None = None) -> TwoStageModel:
     """Deterministic model: same (archetype, seed, dims) always gives identical weights."""
     dims = dims or ModelDims()
-    enc_plan, gen_plan, latent_shape, condition_shape = _layer_plan(archetype, dims)
+    enc_plan, gen_plan, latent_shape, condition_shape = layer_plan(archetype, dims)
     return TwoStageModel(
         name=name or f"{archetype}_{seed}",
         archetype=archetype,

@@ -173,6 +173,8 @@ def _set(raw, path, value):
     (("schema_version",), True, "schema_version"),
     # the removed worker-count option: schema-1 files may only say 1
     (("parallel_workers",), 2, "parallel_workers"),
+    # a zero start never moves eta, so random_init may only be true
+    (("attack", "random_init"), False, "attack.random_init"),
 ])
 def test_run_malformed_config_exits_1(runner, tmp_path, path, value, field):
     raw = _config_dict()

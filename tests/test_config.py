@@ -166,6 +166,15 @@ class TestCrossFieldRules:
         with pytest.raises(ConfigError, match=r"models\[1\]\.dims: latent_shape"):
             parse_config(raw)
 
+    def test_archetype_rule_on_dims_fails_at_parse_time(self):
+        raw = {"models": [
+            {"archetype": "vec_conditional", "seed": 0},
+            {"archetype": "refiner", "seed": 1,
+             "dims": {"latent_dim": 12, "latent_shape": [2, 2, 3]}},
+        ]}
+        with pytest.raises(ConfigError, match=r"models\[1\]\.dims: latent_shape .* refiner"):
+            parse_config(raw)
+
     def test_directory_dataset_requires_path(self):
         raw = minimal()
         raw["dataset"] = {"kind": "directory"}
