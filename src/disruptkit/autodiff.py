@@ -106,9 +106,6 @@ class Tensor:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self._data.reshape(()))
 
-    def tolist(self):
-        return self._data.tolist()
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -148,10 +145,6 @@ class Tape:
         self._known: set[int] = set()
         self._watched: list[Tensor] = []
         self._ref = weakref.ref(self)
-
-    @property
-    def records(self) -> tuple[_Record, ...]:
-        return tuple(self._records)
 
     def watch(self, t: Tensor) -> Tensor:
         """Register a leaf tensor so it can be differentiated against."""

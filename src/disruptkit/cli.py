@@ -42,7 +42,7 @@ def _write_json(payload, out_path) -> None:
         click.echo(text, nl=False)
     else:
         try:
-            Path(out_path).write_text(text)
+            Path(out_path).write_text(text, encoding="utf-8", newline="")
         except OSError as exc:
             raise ConfigError(f"cannot write {out_path}: {exc}") from exc
         click.echo(str(out_path))

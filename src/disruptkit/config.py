@@ -116,8 +116,9 @@ def _number(value, where) -> float:
 
 
 def _text(value, where) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
+    # encoding drops a lone surrogate ("\ud800" in JSON), which no UTF-8 report can hold
+    if not isinstance(value, str) or not value or value.encode("utf-8", "ignore").decode() != value:
+        raise ConfigError(f"{where} must be a non-empty string of valid Unicode, got {value!r}")
     return value
 
 
@@ -294,7 +295,7 @@ def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON config file."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
 

@@ -300,10 +300,10 @@ def write_report(report: EvaluationReport, out_dir, name: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
     path = out / name
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             REPORT_WRITERS[name](report, fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc

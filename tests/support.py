@@ -9,3 +9,8 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     want = np.asarray(want, dtype=np.float64)
     denom = max(float(np.linalg.norm(want)), 1e-12)
     return float(np.linalg.norm(got - want)) / denom
+
+
+def recorded(tape) -> list:
+    """The records of ``tape``, in creation order."""
+    return list(tape._records)

@@ -1,13 +1,19 @@
 """CLI surface: subcommands, flag handling, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import disruptkit
 from disruptkit.cli import main
 from disruptkit.config import ExperimentConfig, load_config
+from disruptkit.ensembles import ENSEMBLE_KINDS
 from disruptkit.harness import build_world, run_experiment
 from disruptkit.metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
 
@@ -116,6 +122,22 @@ def test_run_non_utf8_config_exits_1(runner, tmp_path):
     assert f"cannot read config {cfg}" in result.output
 
 
+def test_run_is_utf8_under_an_ascii_locale(tmp_path):
+    # the config is read and the reports written as UTF-8 whatever the locale says
+    cfg = tmp_path / "config.json"
+    raw = _config_dict()
+    raw["models"][0]["name"] = "v\u00e9c_a"
+    cfg.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(disruptkit.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", "from disruptkit.cli import main; main()",
+         "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert "v\u00e9c_a".encode("utf-8") in (tmp_path / "out" / "results.csv").read_bytes()
+
+
 def test_run_invalid_json_exits_1(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -175,6 +197,8 @@ def _set(raw, path, value):
     (("parallel_workers",), 2, "parallel_workers"),
     # a zero start never moves eta, so random_init may only be true
     (("attack", "random_init"), False, "attack.random_init"),
+    # a lone surrogate, which no UTF-8 report can hold
+    (("models", 0, "name"), "vec\ud800", "models[0].name"),
 ])
 def test_run_malformed_config_exits_1(runner, tmp_path, path, value, field):
     raw = _config_dict()
@@ -272,16 +296,33 @@ def test_attack_emits_eta_json(runner, tmp_path):
     assert float(np.max(np.abs(values))) <= payload["epsilon"] + 1e-12
 
 
-def test_attack_eta_matches_run(runner, tmp_path):
-    cfg = _write_config(tmp_path)
+# twice the default widths, on 16x16x3 images
+WIDE = {"image_shape": [16, 16, 3], "encoder_hidden": 32, "generator_hidden": 192,
+        "latent_dim": 24}
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+@pytest.mark.parametrize("image_shape", [[8, 8, 1], [16, 16, 3]], ids=["8x8x1", "wide16x16x3"])
+def test_attack_eta_matches_run(runner, tmp_path, image_shape, kind):
+    # one image crafted alone gets the bits of its row in the batched run
+    dims = WIDE if image_shape == WIDE["image_shape"] else {}
+    models = [{"name": f"{arch}_{i}", "archetype": arch, "seed": i, "dims": dims}
+              for i, arch in enumerate(("vec_conditional", "refiner", "swapper", "reenactor",
+                                        "vec_conditional"))]
+    cfg = _write_config(
+        tmp_path, models=models, holdout_model=models[-1]["name"], ensemble={"kind": kind},
+        attack={"epsilon": 0.05, "step_a": 0.01, "iterations": 3, "seed": 0},
+        dataset={"kind": "synthetic", "seed": 0, "count": 4, "image_shape": image_shape},
+        scenarios=["white_box"])
     report = run_experiment(load_config(cfg))
     for method in ("leat", "image_attack"):
-        out = tmp_path / f"{method}.json"
-        result = runner.invoke(main, ["attack", "--config", str(cfg), "--image-index", "2",
-                                      "--method", method, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        eta = [float(v) for v in json.loads(out.read_text())["eta"]]
-        assert eta == report.etas[method][2].data.reshape(-1).tolist()
+        for index in range(4):
+            out = tmp_path / f"{method}_{index}.json"
+            result = runner.invoke(main, ["attack", "--config", str(cfg), "--method", method,
+                                          "--image-index", str(index), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            eta = [float(v) for v in json.loads(out.read_text())["eta"]]
+            assert eta == report.etas[method][index].data.reshape(-1).tolist(), (method, index)
 
 
 def test_attack_deterministic_bytes(runner, tmp_path):
@@ -367,10 +408,13 @@ def test_calibrate_matches_per_pair_oracle(runner, tmp_path):
             assert np.max(np.abs(got - want)) <= 1e-12, (name, metric)
 
 
-@pytest.mark.parametrize("command", ["attack", "calibrate"])
+@pytest.mark.parametrize("command", ["attack", "calibrate", "run", "project"])
 def test_unwritable_out_exits_1(runner, tmp_path, command):
     cfg = _write_config(tmp_path)
-    out = tmp_path / "missing" / "out.json"
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory")
+    # attack and calibrate write one file; run and project create --out as a directory
+    out = tmp_path / "missing" / "out.json" if command in ("attack", "calibrate") else blocker / "out"
     result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert f"cannot write {out}" in result.output
