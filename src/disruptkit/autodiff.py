@@ -117,10 +117,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def zeros_like(t: Tensor) -> Tensor:
-    return Tensor._wrap(np.zeros(t.shape, dtype=np.float64))
-
-
 @dataclass
 class _Record:
     op: str
@@ -161,26 +157,6 @@ class Tape:
         self._records.append(_Record(op, tuple(inputs), needs, output, vjp_fn))
         self._known.add(id(output))
         output._tape_ref = self._ref
-
-    def gradient(self, loss: Tensor, wrt: Tensor) -> Tensor:
-        if id(wrt) not in self._known:
-            raise LineageError("requested tensor was never recorded on this tape")
-        if id(loss) not in self._known:
-            raise LineageError("loss tensor was never recorded on this tape")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=np.float64)}
-        for rec in reversed(self._records):
-            g_out = grads.get(id(rec.output))
-            if g_out is None:
-                continue
-            for t, needed, g in zip(rec.inputs, rec.needs, rec.vjp_fn(g_out, rec.needs)):
-                if not needed:
-                    continue
-                acc = grads.get(id(t))
-                grads[id(t)] = g if acc is None else acc + g
-        g = grads.get(id(wrt))
-        if g is None:
-            return zeros_like(wrt)
-        return Tensor._wrap(g.reshape(wrt.shape))
 
 
 _STACK: list[Tape | None] = []  # innermost last; None suspends recording
@@ -407,7 +383,21 @@ def backward(loss: Tensor, wrt: Tensor) -> Tensor:
     tape = loss._tape
     if tape is None:
         raise LineageError("loss tensor was not produced under a live tape")
-    return tape.gradient(loss, wrt)
+    if id(wrt) not in tape._known:
+        raise LineageError("requested tensor was never recorded on this tape")
+    if id(loss) not in tape._known:
+        raise LineageError("loss tensor was never recorded on this tape")
+    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=np.float64)}
+    for rec in reversed(tape._records):
+        g_out = grads.get(id(rec.output))
+        if g_out is None:
+            continue
+        for t, needed, g in zip(rec.inputs, rec.needs, rec.vjp_fn(g_out, rec.needs)):
+            if needed:
+                acc = grads.get(id(t))
+                grads[id(t)] = g if acc is None else acc + g
+    g = grads.get(id(wrt))
+    return Tensor._wrap(np.zeros(wrt.shape) if g is None else g.reshape(wrt.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ else.
 
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import OBJECTIVE_KINDS, load_config, parse_config
+from .config import OBJECTIVE_KINDS, load_config
 from .errors import ConfigError
 from .harness import build_world, craft, emit_reports, run_experiment, scorer, write_report
 from .objectives import attribute_outputs
@@ -24,15 +25,26 @@ from .zoo import build_model, sample_attribute_set  # noqa: F401
 
 
 def _apply_overrides(config, seed_override, scenario):
-    """The config with the flags applied, read again so they pass the same checks."""
-    if seed_override is None and scenario is None:
-        return config
-    raw = config.normalized()
-    if seed_override is not None:
-        raw["attack"]["seed"] = seed_override
-    if scenario is not None:
-        raw["scenarios"] = [scenario]
-    return parse_config(raw)
+    """The config with the flags applied; the config's own rules check them."""
+    flag = "--seed-override"
+    try:
+        if seed_override is not None:
+            config = replace(config, attack=replace(config.attack, seed=seed_override))
+        flag = "--scenario"
+        if scenario is not None:
+            config = replace(config, scenarios=(scenario,))
+    except ConfigError as exc:  # say which flag broke a rule
+        raise ConfigError(f"{flag}: {exc}") from None
+    return config
+
+
+def _check_out_dir(out_dir) -> Path:
+    """``out_dir``, or exit 1 now if it could never be made a directory; creates nothing."""
+    out = Path(out_dir)
+    ancestor = next(p for p in (out, *out.parents) if os.path.exists(p))
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"cannot write {out}: {ancestor} is not a directory")
+    return out
 
 
 def _write_json(payload, out_path) -> None:
@@ -77,9 +89,8 @@ def main():
 def run(config_path, out_dir, seed_override, scenario):
     """Full experiment: attacks, scenario evaluations, report files."""
     config = _apply_overrides(load_config(config_path), seed_override, scenario)
-    report = run_experiment(config)
-    paths = emit_reports(report, out_dir or config.output_dir)
-    for path in paths:
+    out = _check_out_dir(out_dir or config.output_dir)
+    for path in emit_reports(run_experiment(config), out):
         click.echo(str(path))
 
 
@@ -148,5 +159,6 @@ def calibrate(config_path, out_path, pairs):
 def project(config_path, out_dir, seed_override):
     """Attack, then export only the latent PCA table (no scenario evaluation)."""
     config = _apply_overrides(load_config(config_path), seed_override, None)
+    out = _check_out_dir(out_dir or config.output_dir)
     report = run_experiment(replace(config, scenarios=()))
-    click.echo(str(write_report(report, out_dir or config.output_dir, "latents_pca.csv")))
+    click.echo(str(write_report(report, out, "latents_pca.csv")))

@@ -1,11 +1,11 @@
 """Experiment configuration: one JSON document drives the whole pipeline.
 
 Loading is strict: every JSON object is read against one table of field
-kinds, so unknown keys, wrongly typed values, bad names and inconsistent
-shapes are rejected up front with a `ConfigError` naming the field, and a
-run never fails halfway in. Defaults live in the dataclasses the fields
-fill. The parsed object is normalized back to a canonical dict for echoing,
-which keeps rerun comparisons byte-stable.
+kinds, and the dataclasses the fields fill hold the defaults and the rules
+between fields, so a bad config, parsed, constructed or derived with
+`replace`, fails up front with a `ConfigError` naming the field. The parsed
+object is normalized back to a canonical dict for echoing, which keeps rerun
+comparisons byte-stable.
 """
 
 import json
@@ -65,6 +65,42 @@ class ExperimentConfig:
     thresholds: MetricThresholds = field(default_factory=MetricThresholds)
     metrics_seed: int = 0
     output_dir: str = "out"
+
+    def __post_init__(self):
+        """The cross-field rules, so no construction or `replace` yields a config that breaks them."""
+        if not self.models:
+            raise ConfigError("models must be a non-empty list")
+        names = [m.name for m in self.models]
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise ConfigError(f"model names must be unique; duplicated: {dupes}")
+        image_shape = self.models[0].dims.image_shape
+        for m in self.models:
+            if m.dims.image_shape != image_shape:
+                raise ConfigError(
+                    f"all models must share one image_shape; {m.name} has {m.dims.image_shape},"
+                    f" expected {image_shape}")
+        if tuple(self.dataset.image_shape) != image_shape:
+            raise ConfigError(
+                f"dataset image_shape {self.dataset.image_shape} does not match"
+                f" model image_shape {image_shape}")
+        for key, known in (("objectives", OBJECTIVE_KINDS), ("scenarios", SCENARIOS)):
+            values = getattr(self, key)
+            if not set(values) <= set(known) or len(set(values)) != len(values):
+                raise ConfigError(f"{key} must be distinct entries of {known}, got {values!r}")
+        if "gray_box" in self.scenarios and self.n_unknown < 1:
+            raise ConfigError("gray_box evaluation needs attributes.unknown >= 1")
+        holdout = self.holdout_model
+        if "black_box" in self.scenarios and holdout is None:
+            raise ConfigError("black_box scenario requires holdout_model")
+        if holdout is not None and holdout not in names:
+            raise ConfigError(f"holdout_model {holdout!r} is not a configured model")
+        if holdout is not None and len(names) < 2:
+            raise ConfigError("holdout_model requires at least one other model to attack")
+        weights, attackers = self.ensemble.weights_omega, len(self.attack_model_names())
+        if weights is not None and len(weights) != attackers:
+            raise ConfigError(
+                f"ensemble.weights_omega has {len(weights)} entries for {attackers} attack-time models")
 
     def attack_model_names(self) -> tuple[str, ...]:
         """Models the perturbation is built against; the holdout never appears."""
@@ -130,15 +166,12 @@ def _one_of(options: tuple):
     return read
 
 
-def _list(item, length: int | None = None, unique: bool = False):
+def _list(item, length: int | None = None):
     def read(value, where) -> tuple:
         if not isinstance(value, list) or not value or length not in (None, len(value)):
             shape = "a non-empty list" if length is None else f"a list of {length} entries"
             raise ConfigError(f"{where} must be {shape}, got {value!r}")
-        items = tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
-        if unique and len(set(items)) != len(items):
-            raise ConfigError(f"{where} must not repeat entries, got {value!r}")
-        return items
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
     return read
 
 
@@ -218,11 +251,11 @@ _CONFIG = {
     "schema_version": _one_of((SCHEMA_VERSION,)),
     "models": _list(_object(_MODEL)),
     "attack": _object(_ATTACK, AttackConfig),
-    "objectives": _list(_one_of(OBJECTIVE_KINDS), unique=True),
+    "objectives": _list(_text),
     "ensemble": _object(_ENSEMBLE, EnsembleStrategy),
     "attributes": _object(_ATTRIBUTES),
     "dataset": _dataset,
-    "scenarios": _list(_one_of(SCENARIOS), unique=True),
+    "scenarios": _list(_text),
     "holdout_model": _optional(_text),
     "thresholds": _object(_THRESHOLDS, MetricThresholds),
     "metrics_seed": _integer(),
@@ -242,53 +275,17 @@ def _model(fields: dict, index: int) -> ModelSpec:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a JSON-shaped mapping and fill in defaults."""
+    """Read a JSON-shaped mapping into the config types, filling in defaults."""
     fields = _read(raw, "", _CONFIG)
     fields.pop("schema_version", None)
     fields.pop("parallel_workers", None)
     models = tuple(_model(m, i) for i, m in enumerate(_required(fields, "models", "config")))
-    names = [m.name for m in models]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ConfigError(f"model names must be unique; duplicated: {dupes}")
-    image_shape = models[0].dims.image_shape
-    for m in models:
-        if m.dims.image_shape != image_shape:
-            raise ConfigError(
-                f"all models must share one image_shape; {m.name} has {m.dims.image_shape},"
-                f" expected {image_shape}")
-
-    dataset = fields.get("dataset", {})
+    dataset = {"image_shape": models[0].dims.image_shape, **fields.get("dataset", {})}
     if dataset.get("kind") == "directory":
-        dataset = DatasetSpec(kind="directory", count=0, image_shape=image_shape,
-                              path=_required(dataset, "path", "dataset"))
-    else:
-        if dataset.setdefault("image_shape", image_shape) != image_shape:
-            raise ConfigError(
-                f"dataset image_shape {dataset['image_shape']} does not match"
-                f" model image_shape {image_shape}")
-        dataset = DatasetSpec(**dataset)
-
+        dataset.update(count=0, path=_required(dataset, "path", "dataset"))
     attributes = {_ATTRIBUTE_FIELDS[key]: v for key, v in fields.pop("attributes", {}).items()}
-    config = ExperimentConfig(**{**fields, **attributes, "models": models, "dataset": dataset})
-
-    if "gray_box" in config.scenarios and config.n_unknown < 1:
-        raise ConfigError("gray_box evaluation needs attributes.unknown >= 1")
-    holdout = config.holdout_model
-    if "black_box" in config.scenarios and holdout is None:
-        raise ConfigError("black_box scenario requires holdout_model")
-    if holdout is not None:
-        if holdout not in names:
-            raise ConfigError(f"holdout_model {holdout!r} is not a configured model")
-        if len(models) < 2:
-            raise ConfigError("holdout_model requires at least one other model to attack")
-
-    weights = config.ensemble.weights_omega
-    if weights is not None and len(weights) != len(config.attack_model_names()):
-        raise ConfigError(
-            f"ensemble.weights_omega has {len(weights)} entries"
-            f" for {len(config.attack_model_names())} attack-time models")
-    return config
+    return ExperimentConfig(**{**fields, **attributes, "models": models,
+                               "dataset": DatasetSpec(**dataset)})
 
 
 def load_config(path) -> ExperimentConfig:

@@ -238,7 +238,7 @@ def test_negative_seed_override_exits_1(runner, tmp_path, command):
     result = runner.invoke(main, [command, "--config", str(cfg),
                                   "--out", str(tmp_path / "out"), "--seed-override", "-1"])
     assert result.exit_code == 1, result.output
-    assert "attack.seed must be >= 0" in result.output
+    assert "config error: --seed-override: seed entries must be >= 0, got -1" in result.output
     assert not (tmp_path / "out").exists()
 
 
@@ -409,7 +409,12 @@ def test_calibrate_matches_per_pair_oracle(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["attack", "calibrate", "run", "project"])
-def test_unwritable_out_exits_1(runner, tmp_path, command):
+def test_unwritable_out_exits_1(runner, tmp_path, monkeypatch, command):
+    def never(config):
+        raise AssertionError("the experiment ran although --out cannot be written")
+
+    # run and project find a --out directory that can never be made before the experiment
+    monkeypatch.setattr("disruptkit.cli.run_experiment", never)
     cfg = _write_config(tmp_path)
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory")
@@ -418,6 +423,7 @@ def test_unwritable_out_exits_1(runner, tmp_path, command):
     result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert f"cannot write {out}" in result.output
+    assert not (tmp_path / "missing").exists()
 
 
 def test_calibrate_bad_pairs_exits_1(runner, tmp_path):

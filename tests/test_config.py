@@ -1,11 +1,15 @@
 """Config parsing: defaults, strictness, and cross-field rules."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 
-from disruptkit.config import example_config, load_config, parse_config
+from disruptkit.config import (DatasetSpec, ExperimentConfig, example_config, load_config,
+                               parse_config)
+from disruptkit.ensembles import EnsembleStrategy
 from disruptkit.errors import ConfigError
+from disruptkit.zoo import ModelDims
 
 
 def minimal():
@@ -180,6 +184,42 @@ class TestCrossFieldRules:
         raw["dataset"] = {"kind": "directory"}
         with pytest.raises(ConfigError, match="path"):
             parse_config(raw)
+
+
+# a valid config: two attacked models, one held out, every scenario
+VALID = parse_config(example_config())
+VEC, REFINER, HELD = VALID.models
+
+
+@pytest.mark.parametrize("how", ["construct", "replace"])
+@pytest.mark.parametrize("changes, match", [
+    ({"models": ()}, "models must be a non-empty list"),
+    ({"models": (VEC, replace(REFINER, name="vec_a"), HELD)}, r"unique; duplicated: \['vec_a'\]"),
+    ({"models": (VEC, replace(REFINER, dims=ModelDims(image_shape=(4, 4, 1))), HELD)},
+     "all models must share one image_shape; refiner_a"),
+    ({"dataset": DatasetSpec(image_shape=(4, 4, 3))}, "dataset image_shape"),
+    ({"n_unknown": 0}, "gray_box evaluation needs attributes.unknown >= 1"),
+    ({"holdout_model": None}, "black_box scenario requires holdout_model"),
+    ({"holdout_model": "ghost"}, "holdout_model 'ghost' is not a configured model"),
+    ({"models": (HELD,)}, "holdout_model requires at least one other model"),
+    ({"ensemble": EnsembleStrategy("loss_ensemble", (1.0, 1.0, 1.0))},
+     "weights_omega has 3 entries for 2 attack-time models"),
+    ({"objectives": ("pgd",)}, "objectives must be distinct entries"),
+    ({"objectives": ("leat", "leat")}, "objectives must be distinct entries"),
+    ({"scenarios": ("mauve_box",)}, "scenarios must be distinct entries"),
+    ({"scenarios": ("white_box", "white_box")}, "scenarios must be distinct entries"),
+], ids=["no-models", "duplicate-names", "model-shapes-differ", "dataset-shape",
+        "gray-box-no-unknown", "black-box-no-holdout", "holdout-not-a-model",
+        "holdout-only-model", "weights-length", "unknown-objective", "repeated-objective",
+        "unknown-scenario", "repeated-scenario"])
+def test_every_rule_holds_for_construct_and_replace(how, changes, match):
+    """No config that breaks a cross-field rule exists, however it is made."""
+    with pytest.raises(ConfigError, match=match):
+        if how == "construct":
+            given = {f.name: getattr(VALID, f.name) for f in fields(VALID)}
+            ExperimentConfig(**{**given, **changes})
+        else:
+            replace(VALID, **changes)
 
 
 class TestRoundTrip:
