@@ -17,7 +17,16 @@ import numpy as np
 
 from .config import OBJECTIVE_KINDS, load_config
 from .errors import ConfigError
-from .harness import build_world, craft, emit_reports, run_experiment, scorer, write_report
+from .harness import (
+    build_models,
+    build_world,
+    craft,
+    emit_reports,
+    run_experiment,
+    scorer,
+    source_image,
+    write_report,
+)
 from .objectives import attribute_outputs
 # not called here; bench/tracing.py wraps these names in each module that binds them
 from .attacks import build_gradient_provider, run_attack  # noqa: F401
@@ -47,17 +56,29 @@ def _check_out_dir(out_dir) -> Path:
     return out
 
 
+def _echo(text: str, stream: str = "stdout", nl: bool = True) -> None:
+    """``click.echo`` to the current stdout or stderr, resolved on every call.
+
+    Left to itself, click caches its wrapper of each stream it sees in a weak
+    map whose value, for an in-memory stream, is the stream itself, so every
+    redirected stream (and all the text written to it) would stay alive.
+    ``errors=None`` keeps click's default wrapping: UTF-8 with replacement
+    on an ASCII stream.
+    """
+    click.echo(text, nl=nl, file=click.get_text_stream(stream, errors=None))
+
+
 def _write_json(payload, out_path) -> None:
     """Strict, sorted JSON to ``out_path`` (whose name is echoed), or to stdout."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path is None:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
     else:
         try:
             Path(out_path).write_text(text, encoding="utf-8", newline="")
         except OSError as exc:
             raise ConfigError(f"cannot write {out_path}: {exc}") from exc
-        click.echo(str(out_path))
+        _echo(str(out_path))
 
 
 def _guarded(command):
@@ -67,10 +88,10 @@ def _guarded(command):
         try:
             command(*args, **kwargs)
         except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
+            _echo(f"config error: {exc}", "stderr")
             sys.exit(1)
         except Exception as exc:  # noqa: BLE001  - runtime failures map to exit 2
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", "stderr")
             sys.exit(2)
     return guarded
 
@@ -91,7 +112,7 @@ def run(config_path, out_dir, seed_override, scenario):
     config = _apply_overrides(load_config(config_path), seed_override, scenario)
     out = _check_out_dir(out_dir or config.output_dir)
     for path in emit_reports(run_experiment(config), out):
-        click.echo(str(path))
+        _echo(str(path))
 
 
 @main.command()
@@ -106,12 +127,11 @@ def attack(config_path, out_path, image_index, method, seed_override):
     config = _apply_overrides(load_config(config_path), seed_override, None)
     if method not in config.objectives:
         raise ConfigError(f"method {method!r} is not in config.objectives")
-    models, pools, dataset = build_world(config)
-    if not 0 <= image_index < len(dataset):
-        raise ConfigError(f"image_index {image_index} outside dataset of {len(dataset)}")
+    X = source_image(config, image_index)  # checked before any model is built
+    models, pools = build_models(config)
     one = replace(config, objectives=(method,),
                   attack=replace(config.attack, seed=(config.attack.seed, image_index)))
-    eta = craft(one, models, pools, dataset[image_index])[0][method]
+    eta = craft(one, models, pools, X)[0][method]
     payload = {
         "method": method,
         "image_index": image_index,
@@ -161,4 +181,4 @@ def project(config_path, out_dir, seed_override):
     config = _apply_overrides(load_config(config_path), seed_override, None)
     out = _check_out_dir(out_dir or config.output_dir)
     report = run_experiment(replace(config, scenarios=()))
-    click.echo(str(write_report(report, out, "latents_pca.csv")))
+    _echo(str(write_report(report, out, "latents_pca.csv")))

@@ -45,6 +45,16 @@ class DatasetSpec:
     image_shape: tuple[int, ...] = (8, 8, 1)
     path: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in DATASET_KINDS:
+            raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"dataset.seed must be >= 0, got {self.seed}")
+        if self.kind == "synthetic" and self.count < 1:
+            raise ConfigError(f"dataset.count must be >= 1, got {self.count}")
+        if self.kind == "directory" and not self.path:
+            raise ConfigError("dataset.path is required for a directory dataset")
+
 
 # JSON "attributes" key -> ExperimentConfig field
 _ATTRIBUTE_FIELDS = {"known": "n_known", "unknown": "n_unknown", "seed": "attribute_seed"}
@@ -67,7 +77,15 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        """The cross-field rules, so no construction or `replace` yields a config that breaks them."""
+        """The field rules, so no construction or `replace` yields a config that breaks them."""
+        for where, value, minimum in (("attributes.known", self.n_known, 1),
+                                      ("attributes.unknown", self.n_unknown, 0),
+                                      ("attributes.seed", self.attribute_seed, 0),
+                                      ("metrics_seed", self.metrics_seed, 0)):
+            if value < minimum:
+                raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty string")
         if not self.models:
             raise ConfigError("models must be a non-empty list")
         names = [m.name for m in self.models]

@@ -22,6 +22,7 @@ __all__ = [
     "stack_axes",
     "SyntheticDataset",
     "bump_image",
+    "synthetic_image",
     "generate_dataset",
     "read_pnm",
     "write_pnm",
@@ -84,15 +85,19 @@ class SyntheticDataset:
         return self.images[i]
 
 
-def generate_dataset(seed: int, count: int, shape: Sequence[int]) -> SyntheticDataset:
-    """``count`` blob images; image i is drawn from its own stream [seed, i]."""
-    if count < 1:
-        raise ConfigError(f"dataset count must be >= 1, got {count}")
+def synthetic_image(seed: int, index: int, shape: Sequence[int]) -> np.ndarray:
+    """Image ``index`` of every synthetic dataset of ``seed``, drawn from its own stream [seed, index]."""
     shape = tuple(int(s) for s in shape)
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ConfigError(f"image shape must be three positive dims, got {shape}")
-    images = np.stack([bump_image(np.random.default_rng([seed, i]), shape)
-                       for i in range(count)])
+    return bump_image(np.random.default_rng([seed, index]), shape)
+
+
+def generate_dataset(seed: int, count: int, shape: Sequence[int]) -> SyntheticDataset:
+    """``count`` blob images; row i is ``synthetic_image(seed, i, shape)``."""
+    if count < 1:
+        raise ConfigError(f"dataset count must be >= 1, got {count}")
+    images = np.stack([synthetic_image(seed, i, shape) for i in range(count)])
     return SyntheticDataset(Tensor._wrap(images))
 
 

@@ -22,7 +22,12 @@ import numpy as np
 from .attacks import build_gradient_provider, run_attack
 from .autodiff import Tensor
 from .config import ExperimentConfig
-from .dataset import SyntheticDataset, generate_dataset, load_dataset_from_directory
+from .dataset import (
+    SyntheticDataset,
+    generate_dataset,
+    load_dataset_from_directory,
+    synthetic_image,
+)
 from .errors import ConfigError, InvariantError
 from .metrics import (
     SurrogateEmbedder,
@@ -98,12 +103,28 @@ def _scenario_plan(config: ExperimentConfig, scenario: str, models: dict, pools:
     return [(models[n], pools[n].unknown) for n in attack_names]
 
 
-def build_world(config: ExperimentConfig) -> tuple[dict, dict, SyntheticDataset]:
-    """The config's models and attribute pools by model name, and its images.
+def source_image(config: ExperimentConfig, index: int) -> Tensor:
+    """Image ``index`` of the config's dataset; ConfigError if there is none.
 
-    Images load first, so a bad dataset fails before any model is built.
+    A synthetic dataset draws only that image, bit for bit its row of
+    `generate_dataset`. A directory is read and validated in full.
     """
-    dataset = _load_images(config)
+    spec = config.dataset
+    if spec.kind == "directory":
+        dataset = _load_images(config)
+        count = len(dataset)
+    else:
+        count = spec.count
+    if not 0 <= index < count:
+        raise ConfigError(f"image_index {index} outside dataset of {count}")
+    if spec.kind == "directory":
+        return dataset[index]
+    one = synthetic_image(spec.seed, index, spec.image_shape)
+    return SyntheticDataset(Tensor._wrap(one[None]))[0]
+
+
+def build_models(config: ExperimentConfig) -> tuple[dict, dict]:
+    """The config's models and attribute pools, by model name."""
     models = {
         spec.name: build_model(spec.archetype, spec.seed, spec.dims, name=spec.name)
         for spec in config.models
@@ -114,7 +135,16 @@ def build_world(config: ExperimentConfig) -> tuple[dict, dict, SyntheticDataset]
             [config.attribute_seed, index])
         for index, spec in enumerate(config.models)
     }
-    return models, pools, dataset
+    return models, pools
+
+
+def build_world(config: ExperimentConfig) -> tuple[dict, dict, SyntheticDataset]:
+    """The config's models and attribute pools by model name, and its images.
+
+    Images load first, so a bad dataset fails before any model is built.
+    """
+    dataset = _load_images(config)
+    return (*build_models(config), dataset)
 
 
 def craft(config: ExperimentConfig, models: dict, pools: dict, X: Tensor):

@@ -1,9 +1,13 @@
 """CLI surface: subcommands, flag handling, exit codes, output determinism."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +140,29 @@ def test_run_is_utf8_under_an_ascii_locale(tmp_path):
         env=env, capture_output=True)
     assert result.returncode == 0, result.stderr
     assert "v\u00e9c_a".encode("utf-8") in (tmp_path / "out" / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_echo_under_an_ascii_locale(tmp_path, stream):
+    # an error naming a non-ASCII value reaches stderr whole, as UTF-8, and a
+    # non-ASCII --out name that the locale cannot decode is echoed with replacements
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_config_dict(**({"holdout_model": "h\u00e9ld"}
+                                              if stream == "stderr" else {}))))
+    out = os.fsencode(tmp_path) + "/\u00e9ta.json".encode("utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(disruptkit.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", "from disruptkit.cli import main; main()",
+         "attack", "--config", str(cfg), "--out", out],
+        env=env, capture_output=True)
+    if stream == "stderr":
+        assert result.returncode == 1, result.stderr
+        assert "holdout_model 'h\u00e9ld'".encode("utf-8") in result.stderr
+    else:
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith(b"ta.json\n")
+        assert json.loads(Path(os.fsdecode(out)).read_text())["image_index"] == 0
 
 
 def test_run_invalid_json_exits_1(runner, tmp_path):
@@ -354,6 +381,78 @@ def test_attack_index_out_of_range_exits_1(runner, tmp_path):
     result = runner.invoke(main, ["attack", "--config", str(cfg),
                                   "--image-index", "99"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_attack_index_is_checked_before_any_model(runner, tmp_path, monkeypatch, index):
+    # index == count is the first index past the end; no model is built for it
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr("disruptkit.harness.build_model", no_model)
+    cfg = _write_config(tmp_path)  # count 3
+    result = runner.invoke(main, ["attack", "--config", str(cfg),
+                                  "--image-index", str(index)])
+    assert result.exit_code == 1, result.output
+    assert f"config error: image_index {index} outside dataset of 3" in result.output
+
+
+def test_attack_draws_only_its_image(runner, tmp_path, monkeypatch):
+    # image 3 of a 4,000-image dataset is the same bits as of a 4-image one, drawn alone
+    drawn = []
+    bump_image = disruptkit.dataset.bump_image
+
+    def counted(rng, shape):
+        drawn.append(shape)
+        return bump_image(rng, shape)
+
+    monkeypatch.setattr("disruptkit.dataset.bump_image", counted)
+    blobs = []
+    for count in (4, 4000):
+        sub = tmp_path / str(count)
+        sub.mkdir()
+        cfg = _write_config(sub, dataset={"kind": "synthetic", "seed": 5, "count": count,
+                                          "image_shape": [8, 8, 1]})
+        drawn.clear()
+        result = runner.invoke(main, ["attack", "--config", str(cfg), "--image-index", "3"])
+        assert result.exit_code == 0, result.output
+        assert drawn == [(8, 8, 1)], count
+        blobs.append(result.stdout)
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["image_index"] == 3
+
+
+def test_attack_reads_a_directory_in_full(runner, tmp_path):
+    # a corrupt file at another index still fails the request
+    data_dir = tmp_path / "imgs"
+    data_dir.mkdir()
+    images = disruptkit.generate_dataset(seed=3, count=3, shape=(8, 8, 1))
+    for i, image in enumerate(images.images):
+        disruptkit.write_pnm(data_dir / f"img_{i}.pgm", image.data)
+    cfg = _write_config(tmp_path, dataset={"kind": "directory", "path": str(data_dir)})
+    args = ["attack", "--config", str(cfg), "--image-index", "0"]
+    assert runner.invoke(main, args).exit_code == 0
+    (data_dir / "img_2.pgm").write_bytes(b"P5\n8 8\n255\n")  # truncated pixel data
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert "img_2.pgm: truncated pixel data" in result.output
+
+
+@pytest.mark.parametrize("index, code", [(0, 0), (99, 1)])
+def test_in_process_call_keeps_no_stream(tmp_path, index, code):
+    # a call with redirected streams must not keep them (and all they hold) alive
+    cfg = _write_config(tmp_path)
+    streams = [io.StringIO(), io.StringIO()]
+    refs = [weakref.ref(s) for s in streams]
+    with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+        with pytest.raises(SystemExit) as stop:
+            main.main(args=["attack", "--config", str(cfg), "--image-index", str(index)],
+                      prog_name="disruptkit", standalone_mode=True)
+    assert stop.value.code == code
+    assert any(s.getvalue() for s in streams)
+    del streams
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_attack_method_not_configured_exits_1(runner, tmp_path):

@@ -222,6 +222,43 @@ def test_every_rule_holds_for_construct_and_replace(how, changes, match):
             replace(VALID, **changes)
 
 
+@pytest.mark.parametrize("how", ["construct", "replace"])
+@pytest.mark.parametrize("changes, match", [
+    ({"n_known": 0}, "attributes.known must be >= 1, got 0"),
+    ({"n_unknown": -1}, "attributes.unknown must be >= 0, got -1"),
+    ({"attribute_seed": -1}, "attributes.seed must be >= 0, got -1"),
+    ({"metrics_seed": -2}, "metrics_seed must be >= 0, got -2"),
+    ({"output_dir": ""}, "output_dir must be a non-empty string"),
+], ids=["no-known", "negative-unknown", "negative-attribute-seed", "negative-metrics-seed",
+        "empty-output-dir"])
+def test_every_field_range_holds_for_construct_and_replace(how, changes, match):
+    """A field outside the range its JSON key allows is rejected however the config is made."""
+    with pytest.raises(ConfigError, match=match):
+        if how == "construct":
+            given = {f.name: getattr(VALID, f.name) for f in fields(VALID)}
+            ExperimentConfig(**{**given, **changes})
+        else:
+            replace(VALID, **changes)
+
+
+@pytest.mark.parametrize("how", ["construct", "replace"])
+@pytest.mark.parametrize("changes, match", [
+    ({"kind": "bogus"}, r"dataset.kind must be one of \('synthetic', 'directory'\)"),
+    ({"count": 0}, "dataset.count must be >= 1, got 0"),
+    ({"seed": -1}, "dataset.seed must be >= 0, got -1"),
+    ({"kind": "directory"}, "dataset.path is required"),
+    ({"kind": "directory", "path": ""}, "dataset.path is required"),
+], ids=["unknown-kind", "no-images", "negative-seed", "directory-no-path",
+        "directory-empty-path"])
+def test_dataset_rules_hold_for_construct_and_replace(how, changes, match):
+    with pytest.raises(ConfigError, match=match):
+        if how == "construct":
+            given = {f.name: getattr(VALID.dataset, f.name) for f in fields(VALID.dataset)}
+            DatasetSpec(**{**given, **changes})
+        else:
+            replace(VALID, dataset=replace(VALID.dataset, **changes))
+
+
 class TestRoundTrip:
     def test_load_config_from_file(self, tmp_path):
         p = tmp_path / "cfg.json"

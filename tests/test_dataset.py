@@ -42,6 +42,17 @@ class TestSyntheticGeneration:
         for i, row in enumerate(rows):
             assert np.array_equal(row, ds.bump_image(np.random.default_rng([0, i]), (6, 5, 3)))
 
+    def test_one_image_is_its_row(self):
+        # image i alone is bit for bit row i of any dataset of the seed that holds it
+        data = ds.generate_dataset(seed=11, count=5, shape=(6, 5, 3))
+        for i in (0, 3, 4):
+            assert np.array_equal(ds.synthetic_image(11, i, (6, 5, 3)), data[i].data)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 0, 1)])
+    def test_one_image_checks_its_shape(self, shape):
+        with pytest.raises(ConfigError, match="three positive dims"):
+            ds.synthetic_image(0, 0, shape)
+
     def test_out_of_range_image_named(self):
         images = np.full((4, 3, 3, 1), 0.5)
         images[2, 1, 1, 0] = 1.5

@@ -11,7 +11,7 @@ from disruptkit.autodiff import Tensor
 from disruptkit.config import example_config, parse_config
 from disruptkit.dataset import generate_dataset, write_pnm
 from disruptkit.errors import ConfigError
-from disruptkit.harness import build_world, emit_reports, run_experiment
+from disruptkit.harness import build_world, emit_reports, run_experiment, source_image
 from disruptkit.metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
 
 
@@ -215,6 +215,24 @@ def test_directory_dataset_runs(tmp_path):
     rep = run_experiment(parse_config(raw))
     assert len(rep.rows) == 2
     assert {r.image_index for r in rep.rows} == {0, 1}
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "directory"])
+def test_source_image_is_the_datasets_row(tmp_path, kind):
+    data_dir = tmp_path / "imgs"
+    data_dir.mkdir()
+    for i, image in enumerate(generate_dataset(seed=3, count=3, shape=(8, 8, 1)).images):
+        write_pnm(data_dir / f"img_{i}.pgm", image.data)
+    dataset = ({"kind": "directory", "path": str(data_dir)} if kind == "directory"
+               else {"kind": "synthetic", "seed": 3, "count": 3, "image_shape": [8, 8, 1]})
+    config = parse_config(_raw(dataset=dataset))
+    images = build_world(config)[2].images
+    for i in range(3):
+        x = source_image(config, i)
+        assert x.shape == (8, 8, 1) and not x.data.flags.writeable
+        assert np.array_equal(x.data, images[i].data)
+    with pytest.raises(ConfigError, match="image_index 3 outside dataset of 3"):
+        source_image(config, 3)
 
 
 def test_emit_rejects_unwritable_dir(report, tmp_path):
