@@ -42,14 +42,6 @@ from .errors import ConfigError, InvariantError, ShapeError
 from .objectives import Objective
 from .zoo import TwoStageModel
 
-__all__ = [
-    "AttackConfig",
-    "AttackState",
-    "run_attack",
-    "build_gradient_provider",
-    "GradientProvider",
-]
-
 GradientProvider = Callable[[Tensor], Tensor]
 
 @dataclass(frozen=True)

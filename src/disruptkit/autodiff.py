@@ -30,29 +30,6 @@ import numpy as np
 
 from .errors import LineageError, ShapeError
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "ParameterSet",
-    "recording",
-    "stop_recording",
-    "active_tape",
-    "forward_affine",
-    "activation",
-    "tanh",
-    "sigmoid",
-    "reshape",
-    "broadcast",
-    "concatenate",
-    "mean",
-    "squared_difference",
-    "add",
-    "scale",
-    "mse_loss",
-    "backward",
-    "finite_difference_gradient",
-]
-
 ACTIVATION_KINDS = ("tanh", "sigmoid")
 
 

@@ -1,9 +1,10 @@
 """Experiment configuration: one JSON document drives the whole pipeline.
 
 Loading is strict: every JSON object is read against one table of field
-kinds, and the dataclasses the fields fill hold the defaults and the rules
-between fields, so a bad config, parsed, constructed or derived with
-`replace`, fails up front with a `ConfigError` naming the field. The parsed
+kinds, which checks only JSON types. The dataclasses the fields fill hold the
+defaults and every rule on a field's value, each rule in the type that owns
+the field, so a bad config, parsed, constructed or derived with `replace`,
+fails up front with a `ConfigError` naming the field. The parsed
 object is normalized back to a canonical dict for echoing, which keeps rerun
 comparisons byte-stable.
 """
@@ -33,6 +34,16 @@ class ModelSpec:
     archetype: str
     seed: int
     dims: ModelDims = field(default_factory=ModelDims)
+
+    def __post_init__(self):
+        if self.archetype not in ARCHETYPES:
+            raise ConfigError(f"archetype must be one of {ARCHETYPES}, got {self.archetype!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        try:  # the archetype's rules on dims, checked before any data is built
+            layer_plan(self.archetype, self.dims)
+        except ConfigError as exc:
+            raise ConfigError(f"dims: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -149,14 +160,10 @@ def _plain(value):
 
 # -- field kinds: each checks one JSON value and returns what the config holds
 
-def _integer(minimum: int = 0):
-    def read(value, where):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{where} must be >= {minimum}, got {value}")
-        return value
-    return read
+def _integer(value, where) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _number(value, where) -> float:
@@ -227,36 +234,30 @@ def _required(fields: dict, key: str, where: str):
     return fields[key]
 
 
-_SHAPE = _list(_integer(1), length=3)
+_SHAPE = _list(_integer, length=3)
 _DIMS = {
     "image_shape": _SHAPE,
-    "latent_dim": _integer(1),
+    "latent_dim": _integer,
     "latent_shape": _optional(_SHAPE),
-    "encoder_hidden": _integer(1),
-    "generator_hidden": _integer(1),
-    "attribute_dim": _integer(1),
-    "refine_steps": _integer(0),
+    "encoder_hidden": _integer,
+    "generator_hidden": _integer,
+    "attribute_dim": _integer,
+    "refine_steps": _integer,
 }
-_MODEL = {
-    "name": _text,
-    "archetype": _one_of(ARCHETYPES),
-    "seed": _integer(),
-    "dims": _object(_DIMS, ModelDims),
-}
+_MODEL = {"name": _text, "archetype": _text, "seed": _integer, "dims": _object(_DIMS, ModelDims)}
 _ATTACK = {
     "epsilon": _number,
     "step_a": _number,
-    "iterations": _integer(1),
+    "iterations": _integer,
     # only true: from a zero start every loss is a squared distance to its
     # own reference, so every gradient is 0 and sign(0) never moves eta
     "random_init": _one_of((True,)),
-    "seed": _integer(),
+    "seed": _integer,
 }
 _ENSEMBLE = {"kind": _text, "weights_omega": _optional(_list(_number))}
-_ATTRIBUTES = {"known": _integer(1), "unknown": _integer(), "seed": _integer()}
-_SYNTHETIC = {"kind": _one_of(DATASET_KINDS), "seed": _integer(), "count": _integer(1),
-              "image_shape": _SHAPE}
-_DIRECTORY = {"kind": _one_of(DATASET_KINDS), "path": _text}
+_ATTRIBUTES = {"known": _integer, "unknown": _integer, "seed": _integer}
+_SYNTHETIC = {"kind": _text, "seed": _integer, "count": _integer, "image_shape": _SHAPE}
+_DIRECTORY = {"kind": _text, "path": _text}
 _THRESHOLDS = {"l2": _number, "id": _number, "lpips": _number}
 
 
@@ -276,7 +277,7 @@ _CONFIG = {
     "scenarios": _list(_text),
     "holdout_model": _optional(_text),
     "thresholds": _object(_THRESHOLDS, MetricThresholds),
-    "metrics_seed": _integer(),
+    "metrics_seed": _integer,
     "parallel_workers": _one_of((1,)),  # accepted from schema-1 files; attacks run serially
     "output_dir": _text,
 }
@@ -284,12 +285,11 @@ _CONFIG = {
 
 def _model(fields: dict, index: int) -> ModelSpec:
     archetype = _required(fields, "archetype", f"models[{index}]")
-    try:  # the archetype's rules on dims, checked before any data is built
-        layer_plan(archetype, fields.get("dims", ModelDims()))
-    except ConfigError as exc:
-        raise ConfigError(f"models[{index}].dims: {exc}") from None
     seed = fields.get("seed", index)
-    return ModelSpec(**{"name": f"{archetype}_{seed}", "seed": seed, **fields})
+    try:
+        return ModelSpec(**{"name": f"{archetype}_{seed}", "seed": seed, **fields})
+    except ConfigError as exc:  # a rule of ModelSpec; say which model broke it
+        raise ConfigError(f"models[{index}].{exc}") from None
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -300,7 +300,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     models = tuple(_model(m, i) for i, m in enumerate(_required(fields, "models", "config")))
     dataset = {"image_shape": models[0].dims.image_shape, **fields.get("dataset", {})}
     if dataset.get("kind") == "directory":
-        dataset.update(count=0, path=_required(dataset, "path", "dataset"))
+        dataset["count"] = 0
     attributes = {_ATTRIBUTE_FIELDS[key]: v for key, v in fields.pop("attributes", {}).items()}
     return ExperimentConfig(**{**fields, **attributes, "models": models,
                                "dataset": DatasetSpec(**dataset)})

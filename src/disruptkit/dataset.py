@@ -17,18 +17,6 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError
 
-__all__ = [
-    "IMAGE_RANK",
-    "stack_axes",
-    "SyntheticDataset",
-    "bump_image",
-    "synthetic_image",
-    "generate_dataset",
-    "read_pnm",
-    "write_pnm",
-    "load_dataset_from_directory",
-]
-
 
 IMAGE_RANK = 3  # an image is the trailing [H, W, C] of an array
 

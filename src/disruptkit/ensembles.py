@@ -31,18 +31,6 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
-__all__ = [
-    "ENSEMBLE_KINDS",
-    "ZERO_NORM_THRESHOLD",
-    "PerModelGradient",
-    "EnsembleStrategy",
-    "aggregate",
-    "aggregate_loss_ensemble",
-    "aggregate_hmm",
-    "aggregate_gradient_ensemble",
-    "aggregate_normalized",
-]
-
 ENSEMBLE_KINDS = ("loss_ensemble", "hmm", "gradient_ensemble", "normalized_gradient_ensemble")
 
 # a per-model gradient with L2 norm below this contributes the zero tensor

@@ -23,19 +23,6 @@ from .dataset import stack_axes
 from .errors import ConfigError, DegenerateEmbeddingError, ShapeError
 from .zoo import init_parameters
 
-__all__ = [
-    "MetricThresholds",
-    "SurrogateEmbedder",
-    "DsrSummary",
-    "l2_image",
-    "id_distance",
-    "perceptual_distance",
-    "classify_success",
-    "aggregate_dsr",
-    "pca_project_latents",
-    "separation_statistic",
-]
-
 
 @dataclass(frozen=True)
 class MetricThresholds:

@@ -30,13 +30,6 @@ from .dataset import IMAGE_RANK, stack_axes
 from .errors import ConfigError
 from .zoo import TwoStageModel
 
-__all__ = [
-    "ImageAttackObjective",
-    "LatentAttackObjective",
-    "attribute_outputs",
-    "per_model_image_loss",
-]
-
 
 @dataclass(frozen=True)
 class LatentAttackObjective:

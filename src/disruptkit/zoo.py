@@ -36,18 +36,6 @@ from .autodiff import ParameterSet, Tensor
 from .dataset import bump_image
 from .errors import ConfigError, ShapeError
 
-__all__ = [
-    "ARCHETYPES",
-    "ModelDims",
-    "TwoStageModel",
-    "AttributeSet",
-    "build_model",
-    "init_parameters",
-    "layer_plan",
-    "sample_attribute",
-    "sample_attribute_set",
-]
-
 ARCHETYPES = ("vec_conditional", "refiner", "swapper", "reenactor")
 
 

@@ -226,6 +226,25 @@ def _set(raw, path, value):
     (("attack", "random_init"), False, "attack.random_init"),
     # a lone surrogate, which no UTF-8 report can hold
     (("models", 0, "name"), "vec\ud800", "models[0].name"),
+    # out-of-range values, rejected by the dataclass that owns the field
+    (("models", 0, "seed"), -1, "models[0].seed"),
+    (("models", 0, "archetype"), "bogus", "models[0].archetype"),
+    (("models", 0, "dims", "latent_dim"), 0, "models[0].dims: latent_dim"),
+    (("models", 0, "dims", "encoder_hidden"), 0, "models[0].dims: encoder_hidden"),
+    (("models", 0, "dims", "generator_hidden"), 0, "models[0].dims: generator_hidden"),
+    (("models", 0, "dims", "attribute_dim"), 0, "models[0].dims: attribute_dim"),
+    (("models", 0, "dims", "refine_steps"), -1, "models[0].dims: refine_steps"),
+    (("models", 0, "dims", "image_shape"), [0, 8, 1], "models[0].dims: image_shape"),
+    (("models", 0, "dims", "latent_shape"), [12, 0, 1], "models[0].dims: latent_shape"),
+    (("attack", "iterations"), 0, "attack: iterations"),
+    (("attack", "seed"), -1, "attack: seed entries"),
+    (("attributes", "known"), 0, "attributes.known"),
+    (("attributes", "unknown"), -1, "attributes.unknown"),
+    (("attributes", "seed"), -1, "attributes.seed"),
+    (("dataset", "kind"), "bogus", "dataset.kind"),
+    (("dataset", "count"), 0, "dataset.count"),
+    (("dataset", "seed"), -1, "dataset.seed"),
+    (("metrics_seed",), -1, "metrics_seed"),
 ])
 def test_run_malformed_config_exits_1(runner, tmp_path, path, value, field):
     raw = _config_dict()

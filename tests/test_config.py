@@ -5,8 +5,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from disruptkit.config import (DatasetSpec, ExperimentConfig, example_config, load_config,
-                               parse_config)
+from disruptkit.config import (DatasetSpec, ExperimentConfig, ModelSpec, example_config,
+                               load_config, parse_config)
 from disruptkit.ensembles import EnsembleStrategy
 from disruptkit.errors import ConfigError
 from disruptkit.zoo import ModelDims
@@ -257,6 +257,22 @@ def test_dataset_rules_hold_for_construct_and_replace(how, changes, match):
             DatasetSpec(**{**given, **changes})
         else:
             replace(VALID, dataset=replace(VALID.dataset, **changes))
+
+
+@pytest.mark.parametrize("how", ["construct", "replace"])
+@pytest.mark.parametrize("changes, match", [
+    ({"archetype": "bogus"}, r"archetype must be one of \('vec_conditional', .*got 'bogus'"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"dims": ModelDims(latent_dim=12, latent_shape=(2, 2, 3))},
+     "dims: latent_shape is only supported by vec_conditional, not refiner"),
+], ids=["unknown-archetype", "negative-seed", "refiner-latent-shape"])
+def test_model_rules_hold_for_construct_and_replace(how, changes, match):
+    with pytest.raises(ConfigError, match=match):
+        if how == "construct":
+            given = {f.name: getattr(REFINER, f.name) for f in fields(REFINER)}
+            ModelSpec(**{**given, **changes})
+        else:
+            replace(VALID, models=(VEC, replace(REFINER, **changes), HELD))
 
 
 class TestRoundTrip:
