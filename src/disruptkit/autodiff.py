@@ -31,6 +31,7 @@ import numpy as np
 from .errors import LineageError, ShapeError
 
 ACTIVATION_KINDS = ("tanh", "sigmoid")
+_FLOAT64 = np.dtype(np.float64)
 
 
 class Tensor:
@@ -53,7 +54,8 @@ class Tensor:
         # Internal fast path: takes ownership of a freshly computed array.
         # np.asarray (not ascontiguousarray) so 0-d scalars keep shape ().
         t = cls.__new__(cls)
-        arr = np.asarray(arr, dtype=np.float64)
+        if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64:
+            arr = np.asarray(arr, dtype=np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
@@ -94,15 +96,19 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-@dataclass
 class _Record:
-    op: str
-    inputs: tuple[Tensor, ...]
-    needs: tuple[bool, ...]  # per input: is it tracked by the tape
-    output: Tensor
-    # (output gradient, needs) -> per-input gradients; those not needed are
-    # ignored, so a VJP may skip computing them
-    vjp_fn: Callable[[np.ndarray, tuple[bool, ...]], tuple[np.ndarray | None, ...]]
+    """One recorded op: ``op`` names it, ``needs[i]`` says whether input i is tracked.
+
+    ``vjp_fn(output gradient, needs)`` returns per-input gradients; those not
+    needed are ignored, so a VJP may skip computing them.
+    """
+
+    __slots__ = ("op", "inputs", "needs", "output", "vjp_fn")
+
+    def __init__(self, op: str, inputs: tuple[Tensor, ...], needs: tuple[bool, ...],
+                 output: Tensor,
+                 vjp_fn: Callable[[np.ndarray, tuple[bool, ...]], tuple[np.ndarray | None, ...]]):
+        self.op, self.inputs, self.needs, self.output, self.vjp_fn = op, inputs, needs, output, vjp_fn
 
 
 class Tape:
@@ -164,7 +170,7 @@ def stop_recording():
 
 def _emit(op, inputs, out_arr, vjp_fn) -> Tensor:
     out = Tensor._wrap(out_arr)
-    tape = active_tape()
+    tape = _STACK[-1] if _STACK else None
     if tape is not None:
         tape._record(op, inputs, out, vjp_fn)
     return out
@@ -175,61 +181,112 @@ def _emit(op, inputs, out_arr, vjp_fn) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def forward_affine(input: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """weights @ input + bias over the last axis of ``input``.
+def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None = None) -> Tensor:
+    """act(weights @ input + bias) over the last axis of ``input``, as one taped op.
 
-    ``weights`` is [out, in], ``bias`` is [out]; leading axes of ``input``
-    are preserved.
+    ``weights`` is [out, in] and ``bias`` is [..., out]. The leading axes of
+    ``input`` and ``bias`` broadcast by numpy rules, so a bias computed once
+    (say, a conditioning term for K attributes) serves an input that was never
+    fanned out to K. ``act`` is None (plain affine) or one of
+    ``ACTIVATION_KINDS``; its derivative is applied inside the same VJP.
     """
-    w, b = weights.data, bias.data
+    w, b, x = weights.data, bias.data, input.data
     if w.ndim != 2:
         raise ShapeError(f"affine weights must be rank 2, got shape {weights.shape}")
-    if b.shape != (w.shape[0],):
+    if b.ndim < 1 or b.shape[-1] != w.shape[0]:
         raise ShapeError(f"affine bias shape {bias.shape} does not match weights {weights.shape}")
-    if input.data.ndim < 1 or input.shape[-1] != w.shape[1]:
+    if x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ShapeError(
             f"affine input shape {input.shape} does not match weights {weights.shape}"
         )
-    n_in = w.shape[1]
-    n_out = w.shape[0]
-    out_shape = input.shape[:-1] + (n_out,)
-    y = (input.data.reshape(-1, n_in) @ w.T + b).reshape(out_shape)
-    x_saved = input.data
+    _check_kind(act, allow_none=True)
+    n_out, n_in = w.shape
+    x_shape = x.shape
+    y = (x.reshape(-1, n_in) @ w.T).reshape(x_shape[:-1] + (n_out,))
+    if b.ndim == 1:
+        y += b
+    else:
+        try:
+            y = y + b
+        except ValueError:
+            raise ShapeError(
+                f"affine bias shape {bias.shape} does not broadcast against input {input.shape}"
+            ) from None
+    _activate(y, act, out=y)
+    y_lead = y.shape[:-1]
 
     def vjp(g, needs):
-        g2 = g.reshape(-1, n_out)
-        gx = (g2 @ w).reshape(x_saved.shape) if needs[0] else None
-        gw = g2.T @ x_saved.reshape(-1, n_in) if needs[1] else None
-        gb = g2.sum(axis=0) if needs[2] else None
+        g = _activation_vjp(g, y, act)
+        gx = gw = gb = None
+        if needs[0]:
+            gx = (_sum_to(g, x_shape[:-1] + (n_out,)).reshape(-1, n_out) @ w).reshape(x_shape)
+        if needs[1]:
+            xb = x if x_shape[:-1] == y_lead else np.broadcast_to(x, y_lead + (n_in,))
+            gw = g.reshape(-1, n_out).T @ xb.reshape(-1, n_in)
+        if needs[2]:
+            gb = _sum_to(g, b.shape)
         return gx, gw, gb
 
-    return _emit("affine", (input, weights, bias), y, vjp)
+    return _emit("affine" if act is None else f"affine_{act}", (input, weights, bias), y, vjp)
 
 
 def activation(input: Tensor, kind: str) -> Tensor:
-    """Elementwise tanh / sigmoid.
+    """Elementwise tanh / sigmoid (the sigmoid stays finite for any input)."""
+    _check_kind(kind)
+    y = _activate(input.data, kind, out=np.empty(input.shape))
 
-    The sigmoid is computed in its numerically stable split form so large
-    inputs stay finite.
-    """
-    if kind not in ACTIVATION_KINDS:
-        raise ValueError(f"unsupported activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
-    x = input.data
-    if kind == "tanh":
-        y = np.tanh(x)
-        def vjp(g, needs, y=y):
-            return (g * (1.0 - y * y),)
-    else:
-        y = _stable_sigmoid(x)
-        def vjp(g, needs, y=y):
-            return (g * y * (1.0 - y),)
+    def vjp(g, needs):
+        return (_activation_vjp(g, y, kind),)
+
     return _emit(kind, (input,), y, vjp)
+
+
+def _check_kind(kind: str | None, allow_none: bool = False) -> None:
+    if kind not in ACTIVATION_KINDS and not (allow_none and kind is None):
+        raise ValueError(f"unsupported activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
+
+
+def _activate(x: np.ndarray, kind: str | None, out: np.ndarray) -> np.ndarray:
+    """``kind`` applied to ``x``, written into ``out`` (which may be ``x``)."""
+    if kind == "tanh":
+        np.tanh(x, out=out)
+    elif kind == "sigmoid":
+        out[...] = _stable_sigmoid(x)
+    elif out is not x:
+        out[...] = x
+    return out
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; e^-|x| never overflows
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _activation_vjp(g: np.ndarray, y: np.ndarray, kind: str | None) -> np.ndarray:
+    """``g`` times the derivative of ``kind`` at the input, from its output ``y``.
+
+    The result is a fresh array (``g`` itself when ``kind`` is None): ``g``
+    may be shared with other gradients, so it is never written.
+    """
+    if kind == "tanh":
+        d = y * y
+        np.subtract(1.0, d, out=d)
+        return np.multiply(g, d, out=d)
+    if kind == "sigmoid":
+        d = g * y
+        d *= 1.0 - y
+        return d
+    return g
+
+
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``g`` summed over the axes that broadcasting ``shape`` to ``g.shape`` added or stretched."""
+    if g.shape == shape:
+        return g
+    added = g.ndim - len(shape)
+    stretched = tuple(added + i for i, s in enumerate(shape) if s == 1 and g.shape[added + i] != 1)
+    return g.sum(axis=tuple(range(added)) + stretched).reshape(shape)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -288,6 +345,14 @@ def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _emit("concat", tuple(parts), y, vjp)
 
 
+def _trailing(shape: tuple[int, ...], axes: int | None) -> tuple[tuple[int, ...], int]:
+    """The trailing ``axes`` axes of ``shape`` (all by default) and how many values they hold."""
+    k = len(shape) if axes is None else int(axes)
+    if not 0 <= k <= len(shape):
+        raise ShapeError(f"cannot take the mean over {k} trailing axes of shape {shape}")
+    return tuple(range(len(shape) - k, len(shape))), math.prod(shape[len(shape) - k:])
+
+
 def mean(input: Tensor, axes: int | None = None) -> Tensor:
     """Mean over the last ``axes`` axes (all of them by default).
 
@@ -295,20 +360,15 @@ def mean(input: Tensor, axes: int | None = None) -> Tensor:
     (shape ``()``) tensor and otherwise one mean per leading index.
     """
     shape = input.shape
-    k = len(shape) if axes is None else int(axes)
-    if not 0 <= k <= len(shape):
-        raise ShapeError(f"cannot take the mean over {k} trailing axes of shape {shape}")
-    lead = len(shape) - k
-    n = math.prod(shape[lead:])
+    reduced, n = _trailing(shape, axes)
 
     def vjp(g, needs):
         out = np.empty(shape)
-        out[...] = (g / n).reshape(g.shape + (1,) * k)
+        out[...] = (g / n).reshape(g.shape + (1,) * len(reduced))
         return (out,)
 
     # the same bits as np.mean, without its per-call overhead
-    y = input.data.sum(axis=tuple(range(lead, len(shape)))) / n
-    return _emit("mean", (input,), y, vjp)
+    return _emit("mean", (input,), input.data.sum(axis=reduced) / n, vjp)
 
 
 def squared_difference(a: Tensor, b: Tensor) -> Tensor:
@@ -324,13 +384,17 @@ def squared_difference(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
+    """``a + b`` with numpy broadcasting; each gradient is summed back to its input's shape."""
+    try:
+        y = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add shapes do not broadcast: {a.shape} vs {b.shape}") from None
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g, needs):
-        return g, g
+        return _sum_to(g, a_shape), _sum_to(g, b_shape)
 
-    return _emit("add", (a, b), a.data + b.data, vjp)
+    return _emit("add", (a, b), y, vjp)
 
 
 def scale(input: Tensor, factor: float) -> Tensor:
@@ -343,8 +407,21 @@ def scale(input: Tensor, factor: float) -> Tensor:
 
 
 def mse_loss(a: Tensor, b: Tensor, axes: int | None = None) -> Tensor:
-    """Mean of squared elementwise differences over the last ``axes`` axes (all by default)."""
-    return mean(squared_difference(a, b), axes)
+    """Mean of squared elementwise differences over the last ``axes`` axes (all by default).
+
+    One taped op, with the bits of ``mean(squared_difference(a, b), axes)``.
+    """
+    if a.shape != b.shape:
+        raise ShapeError(f"mse_loss shapes differ: {a.shape} vs {b.shape}")
+    reduced, n = _trailing(a.shape, axes)
+    d = a.data - b.data
+
+    def vjp(g, needs):
+        gd = 2.0 * d
+        gd *= (g / n).reshape(g.shape + (1,) * len(reduced))
+        return gd, (-gd if needs[1] else None)
+
+    return _emit("mse", (a, b), (d * d).sum(axis=reduced) / n, vjp)
 
 
 def backward(loss: Tensor, wrt: Tensor) -> Tensor:

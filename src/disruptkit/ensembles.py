@@ -121,8 +121,9 @@ def aggregate_normalized(per_model: Sequence[PerModelGradient]) -> Tensor:
     for pm in per_model:
         g = pm.gradient.data
         norm = np.sqrt((g * g).sum(axis=tuple(range(rows, g.ndim)), keepdims=True))
+        dead = norm < ZERO_NORM_THRESHOLD
         # a NaN norm is not dead, so a NaN gradient still poisons the sum
-        total += np.divide(g, norm, out=np.zeros_like(g), where=~(norm < ZERO_NORM_THRESHOLD))
+        total += np.divide(g, norm, out=np.zeros_like(g), where=~dead) if dead.any() else g / norm
     return Tensor._wrap(total)
 
 

@@ -128,10 +128,10 @@ class TwoStageModel:
         self.counters.encode_calls += 1
         p = self.encoder_params
         x_flat = ad.reshape(X, lead + (self.dims.pixels,))
-        h = ad.tanh(ad.forward_affine(x_flat, p["enc1.w"], p["enc1.b"]))
+        h = ad.forward_affine(x_flat, p["enc1.w"], p["enc1.b"], "tanh")
         # the reenactor's latent is a neutral image, so it lives in [0,1] like one
-        squash = ad.sigmoid if self.archetype == "reenactor" else ad.tanh
-        z = squash(ad.forward_affine(h, p["enc2.w"], p["enc2.b"]))
+        squash = "sigmoid" if self.archetype == "reenactor" else "tanh"
+        z = ad.forward_affine(h, p["enc2.w"], p["enc2.b"], squash)
         return ad.reshape(z, lead + self.latent_shape) if len(self.latent_shape) > 1 else z
 
     # -- generation stage --------------------------------------------------
@@ -152,17 +152,17 @@ class TwoStageModel:
             h = latent
             for _ in range(self.dims.refine_steps):
                 step_in = ad.concatenate([h, c], axis=-1)
-                h = ad.add(h, ad.tanh(ad.forward_affine(step_in, p["refine.w"], p["refine.b"])))
+                h = ad.add(h, ad.forward_affine(step_in, p["refine.w"], p["refine.b"], "tanh"))
         elif self.archetype == "swapper":
             c_flat = ad.reshape(c, lead + (self.dims.pixels,))
-            target_feat = ad.tanh(ad.forward_affine(c_flat, p["target.w"], p["target.b"]))
+            target_feat = ad.forward_affine(c_flat, p["target.w"], p["target.b"], "tanh")
             h = ad.concatenate([latent, target_feat], axis=-1)
         else:  # vec_conditional and reenactor: the flat latent with c appended
             if len(self.latent_shape) > 1:
                 latent = ad.reshape(latent, lead + (int(np.prod(self.latent_shape)),))
             h = ad.concatenate([latent, c], axis=-1)
-        h = ad.tanh(ad.forward_affine(h, p["gen1.w"], p["gen1.b"]))
-        y_flat = ad.sigmoid(ad.forward_affine(h, p["gen2.w"], p["gen2.b"]))
+        h = ad.forward_affine(h, p["gen1.w"], p["gen1.b"], "tanh")
+        y_flat = ad.forward_affine(h, p["gen2.w"], p["gen2.b"], "sigmoid")
         return ad.reshape(y_flat, lead + self.dims.image_shape)
 
     def _batch_axes(self, t: Tensor, trailing: tuple[int, ...], what: str) -> tuple[int, ...]:
