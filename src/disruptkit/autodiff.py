@@ -1,12 +1,15 @@
 """Dense float64 tensors and a minimal reverse-mode differentiation tape.
 
 The primitive set is the closure needed by the toy two-stage models and the
-disruption losses: affine maps, elementwise activations (tanh/sigmoid),
-reshape, broadcast, concatenate, mean, squared difference, plus add/scale for
-residual blocks and loss combination. Every op keeps leading (batch) axes, so
-a stack of inputs runs through the same code as a single one. Everything runs
-in 64-bit floats so gradients can be validated tightly against central finite
-differences.
+disruption losses: a layer ``act(W x + b)`` as one op (``forward_affine``
+with an optional tanh/sigmoid), the MSE loss as one op, reshape and add for
+residual blocks, plus the elementwise activations, concatenate, mean,
+squared difference and scale as standalone ops. Every op keeps leading
+(batch) axes, so a stack of inputs runs through the same code as a single
+one. ``add`` and the affine bias broadcast those axes by numpy rules (their
+VJPs sum each gradient back to its input's shape), so a term computed once
+serves an input that was never fanned out. Everything runs in 64-bit floats
+so gradients can be validated tightly against central finite differences.
 
 Recording is opt-in: ops consult the active tape and compute
 plainly when none is active (used for frozen reference values). A tape tracks
@@ -145,10 +148,6 @@ class Tape:
 _STACK: list[Tape | None] = []  # innermost last; None suspends recording
 
 
-def active_tape() -> Tape | None:
-    return _STACK[-1] if _STACK else None
-
-
 @contextmanager
 def recording(tape: Tape):
     _STACK.append(tape)
@@ -251,16 +250,14 @@ def _activate(x: np.ndarray, kind: str | None, out: np.ndarray) -> np.ndarray:
     if kind == "tanh":
         np.tanh(x, out=out)
     elif kind == "sigmoid":
-        out[...] = _stable_sigmoid(x)
+        # 0.5 tanh(x/2) + 0.5: finite for any x, and exactly 0 below x ~ -37
+        np.multiply(x, 0.5, out=out)
+        np.tanh(out, out=out)
+        out *= 0.5
+        out += 0.5
     elif out is not x:
         out[...] = x
     return out
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; e^-|x| never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _activation_vjp(g: np.ndarray, y: np.ndarray, kind: str | None) -> np.ndarray:
@@ -289,14 +286,6 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=tuple(range(added)) + stretched).reshape(shape)
 
 
-def tanh(t: Tensor) -> Tensor:
-    return activation(t, "tanh")
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    return activation(t, "sigmoid")
-
-
 def reshape(input: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if math.prod(shape) != input.size:
@@ -307,28 +296,6 @@ def reshape(input: Tensor, shape: Sequence[int]) -> Tensor:
         return (g.reshape(old_shape),)
 
     return _emit("reshape", (input,), input.data.reshape(shape), vjp)
-
-
-def broadcast(input: Tensor, shape: Sequence[int]) -> Tensor:
-    """``input`` repeated to ``shape`` by numpy rules: new leading axes, stretched size-1 axes.
-
-    The VJP sums the output gradient over every added or stretched axis.
-    """
-    shape = tuple(shape)
-    old_shape = input.shape
-    try:
-        y = np.broadcast_to(input.data, shape)
-    except ValueError:
-        raise ShapeError(f"cannot broadcast {old_shape} to {shape}") from None
-    added = len(shape) - len(old_shape)
-    stretched = tuple(added + i for i, s in enumerate(old_shape) if s != shape[added + i])
-
-    def vjp(g, needs):
-        if stretched:
-            g = g.sum(axis=stretched, keepdims=True)
-        return (g.sum(axis=tuple(range(added))) if added else g,)
-
-    return _emit("broadcast", (input,), y, vjp)
 
 
 def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

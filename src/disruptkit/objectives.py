@@ -89,15 +89,14 @@ def attribute_outputs(model: TwoStageModel, attrs: Sequence[Tensor],
 
     Its outputs have shape ``[*lead, K, H, W, C]``: the K attributes sit on
     the axis after ``lead``, so one generate call serves all of them. The
-    conditioning stack is built once, here.
+    conditioning stack ``[K, ...]`` is built once, here, and the latent enters
+    as ``[*lead, 1, ...]``: generate broadcasts the two.
     """
-    stacked = np.stack([c.data for c in attrs])
-    c = Tensor._wrap(np.broadcast_to(stacked, lead + stacked.shape))
-    latent_shape = model.latent_shape
-    fanned = lead + (len(attrs),) + latent_shape
+    c = Tensor._wrap(np.stack([c.data for c in attrs]))
+    unfanned = lead + (1,) + model.latent_shape
 
     def outputs(z: Tensor) -> Tensor:
-        return model.generate(ad.broadcast(ad.reshape(z, lead + (1,) + latent_shape), fanned), c)
+        return model.generate(ad.reshape(z, unfanned), c)
 
     return outputs
 

@@ -3,13 +3,18 @@
 Four archetypes with heterogeneous latents:
 
 - ``vec_conditional``: vector (or reshaped feature-map) latent; the generator
-  is conditioned by concatenating a dense attribute vector.
+  is conditioned on a dense attribute vector.
 - ``refiner``: vector latent; the generator applies a fixed number of
   shared-weight residual refinement steps conditioned on c before decoding.
 - ``swapper``: vector latent from the source; the conditioning input is a
   second image (the target face), mixed with the latent before decoding.
 - ``reenactor``: image-shaped latent (a "neutral image"); the generator warps
   it according to an action-unit-style attribute vector.
+
+The conditioning enters through its own columns of one weight (``gen1.w``,
+or ``refine.w`` for the refiner), as if ``[z, c]`` were concatenated:
+``W [z, c] + b = W_z z + (W_c c + b)``. ``build_model`` slices the two
+column blocks once, and ``generate`` computes ``W_c c + b`` once per call.
 
 All parameters are frozen random draws from a named seed; no training
 happens anywhere. Encoders never see the attribute input, so the latent is
@@ -20,12 +25,14 @@ generator layer tables, its ``latent_shape`` and its ``condition_shape``
 (``(A,)``, or the image shape ``(H, W, C)`` for the swapper). Every stage
 takes leading batch axes: ``encode`` maps ``[..., H, W, C]`` images to
 ``[..., *latent_shape]`` latents, and ``generate`` takes latents and
-``[..., *condition_shape]`` conditioning with the same leading axes. A
-single image is the case with no leading axes.
+``[..., *condition_shape]`` conditioning whose leading axes broadcast by
+numpy rules. A single image is the case with no leading axes. Each layer
+``act(W x + b)`` is one taped op.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,14 +72,14 @@ class ModelDims:
         if self.latent_shape is not None:
             if len(self.latent_shape) != 3 or any(s < 1 for s in self.latent_shape):
                 raise ConfigError(f"latent_shape must be three positive dims, got {self.latent_shape}")
-            if int(np.prod(self.latent_shape)) != self.latent_dim:
+            if math.prod(self.latent_shape) != self.latent_dim:
                 raise ConfigError(
                     f"latent_shape {self.latent_shape} does not hold latent_dim={self.latent_dim} values"
                 )
 
     @property
     def pixels(self) -> int:
-        return int(np.prod(self.image_shape))
+        return math.prod(self.image_shape)
 
 
 def init_parameters(seed_entropy: Sequence[int], layers: Sequence[tuple[str, int, int]]) -> ParameterSet:
@@ -118,6 +125,9 @@ class TwoStageModel:
     latent_shape: tuple[int, ...]
     condition_shape: tuple[int, ...]
     dims: ModelDims
+    # (latent columns, conditioning columns) of the weight where the
+    # conditioning enters (refine.w for the refiner, else gen1.w), sliced once
+    split_weights: tuple[Tensor, Tensor] = field(compare=False, repr=False)
     counters: _Counters = field(default_factory=_Counters, compare=False, repr=False)
 
     # -- encoding stage ----------------------------------------------------
@@ -139,29 +149,39 @@ class TwoStageModel:
     def generate(self, latent: Tensor, c: Tensor) -> Tensor:
         """G(z, c): ``[..., H, W, C]`` images in [0,1] via terminal sigmoid.
 
-        ``latent`` and ``c`` must have the same leading axes.
+        The leading axes of ``latent`` and ``c`` broadcast by numpy rules and
+        give the output's. The conditioning term (``c``'s weight columns plus
+        the bias) is computed once per call, on ``c``'s own leading axes, so
+        ``z[N, 1, ...]`` with ``c[K, ...]`` gives ``[N, K, ...]`` without
+        fanning the latent out to K first.
         """
-        lead = self._batch_axes(latent, self.latent_shape, "latent")
-        if self._batch_axes(c, self.condition_shape, "conditioning") != lead:
+        lead_z = self._batch_axes(latent, self.latent_shape, "latent")
+        lead_c = self._batch_axes(c, self.condition_shape, "conditioning")
+        try:
+            lead = np.broadcast_shapes(lead_z, lead_c)
+        except ValueError:
             raise ShapeError(
                 f"{self.name}: conditioning shape {c.shape} and latent shape {latent.shape}"
-                " have different leading axes")
+                " have leading axes that do not broadcast") from None
         self.counters.generate_calls += 1
         p = self.generator_params
+        w_z, w_c = self.split_weights
         if self.archetype == "refiner":
+            cond = ad.forward_affine(c, w_c, p["refine.b"])
             h = latent
             for _ in range(self.dims.refine_steps):
-                step_in = ad.concatenate([h, c], axis=-1)
-                h = ad.add(h, ad.forward_affine(step_in, p["refine.w"], p["refine.b"], "tanh"))
-        elif self.archetype == "swapper":
-            c_flat = ad.reshape(c, lead + (self.dims.pixels,))
-            target_feat = ad.forward_affine(c_flat, p["target.w"], p["target.b"], "tanh")
-            h = ad.concatenate([latent, target_feat], axis=-1)
-        else:  # vec_conditional and reenactor: the flat latent with c appended
+                h = ad.add(h, ad.forward_affine(h, w_z, cond, "tanh"))
+            # c's leading axes reach the output even with no refine step
+            gen1_b = Tensor._wrap(np.broadcast_to(p["gen1.b"].data, lead_c + p["gen1.b"].shape))
+            h = ad.forward_affine(h, p["gen1.w"], gen1_b, "tanh")
+        else:
+            if self.archetype == "swapper":  # c is the target face, mixed in as features
+                c_flat = ad.reshape(c, lead_c + (self.dims.pixels,))
+                c = ad.forward_affine(c_flat, p["target.w"], p["target.b"], "tanh")
+            cond = ad.forward_affine(c, w_c, p["gen1.b"])
             if len(self.latent_shape) > 1:
-                latent = ad.reshape(latent, lead + (int(np.prod(self.latent_shape)),))
-            h = ad.concatenate([latent, c], axis=-1)
-        h = ad.forward_affine(h, p["gen1.w"], p["gen1.b"], "tanh")
+                latent = ad.reshape(latent, lead_z + (math.prod(self.latent_shape),))
+            h = ad.forward_affine(latent, w_z, cond, "tanh")
         y_flat = ad.forward_affine(h, p["gen2.w"], p["gen2.b"], "sigmoid")
         return ad.reshape(y_flat, lead + self.dims.image_shape)
 
@@ -210,14 +230,19 @@ def build_model(archetype: str, seed: int, dims: ModelDims | None = None,
     """Deterministic model: same (archetype, seed, dims) always gives identical weights."""
     dims = dims or ModelDims()
     enc_plan, gen_plan, latent_shape, condition_shape = layer_plan(archetype, dims)
+    generator_params = init_parameters([seed, 1], gen_plan)
+    mixed = generator_params["refine.w" if archetype == "refiner" else "gen1.w"].data
+    n_latent = math.prod(latent_shape)
     return TwoStageModel(
         name=name or f"{archetype}_{seed}",
         archetype=archetype,
         encoder_params=init_parameters([seed, 0], enc_plan),
-        generator_params=init_parameters([seed, 1], gen_plan),
+        generator_params=generator_params,
         latent_shape=latent_shape,
         condition_shape=condition_shape,
         dims=dims,
+        # _wrap makes each column slice a contiguous array
+        split_weights=(Tensor._wrap(mixed[:, :n_latent]), Tensor._wrap(mixed[:, n_latent:])),
     )
 
 

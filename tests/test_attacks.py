@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disruptkit import attacks, zoo
 from disruptkit import autodiff as ad
-from disruptkit import zoo
 from disruptkit.attacks import (
     AttackConfig,
     build_gradient_provider,
@@ -22,7 +22,7 @@ from disruptkit.ensembles import ENSEMBLE_KINDS, EnsembleStrategy
 from disruptkit.errors import ConfigError, InvariantError, ShapeError
 from disruptkit.objectives import ImageAttackObjective, LatentAttackObjective
 
-from support import rel_err
+from support import recorded, rel_err
 
 NORMALIZED = EnsembleStrategy(kind="normalized_gradient_ensemble")
 
@@ -357,6 +357,35 @@ class TestGradientProvider:
     def test_empty_model_list_rejected(self):
         with pytest.raises(ConfigError):
             build_gradient_provider([], LatentAttackObjective(), NORMALIZED, source(0))
+
+    # taped records per model in one provider call, for (leat, image_attack):
+    # each layer act(W x + b) and the loss are one op each, and the
+    # conditioning term, computed from untracked attributes, is on no tape
+    OPS_PER_CALL = {"vec_conditional": (4, 8), "refiner": (4, 16),
+                    "swapper": (4, 8), "reenactor": (5, 10)}
+
+    @pytest.mark.parametrize("archetype", zoo.ARCHETYPES)
+    def test_taped_op_count_per_provider_call(self, archetype, monkeypatch):
+        tapes = []
+
+        class CountingTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(attacks, "Tape", CountingTape)
+        model = zoo.build_model(archetype, seed=15)
+        X = stack_of([source(s) for s in range(3)])
+        attrs = zoo.sample_attribute_set(model, 5, 0, [16]).known
+        objectives = (LatentAttackObjective(), ImageAttackObjective({model.name: attrs}))
+        counts = []
+        for objective in objectives:
+            tapes.clear()
+            build_gradient_provider([model], objective, NORMALIZED, X)(X)
+            assert len(tapes) == 1
+            counts.append(len(recorded(tapes[0])))
+        kinds = [sorted(rec.op for rec in recorded(t)) for t in tapes]
+        assert tuple(counts) == self.OPS_PER_CALL[archetype], kinds
 
 
 def stack_of(images):

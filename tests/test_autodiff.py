@@ -89,6 +89,48 @@ class TestForwardAffine:
         assert y.shape == (5, 3)
         assert np.max(np.abs(y.data - (x @ w.T + b))) < 1e-12
 
+    @pytest.mark.parametrize("act", [None, "tanh", "sigmoid"])
+    def test_fused_activation_is_one_op_with_the_layer_bits(self, act):
+        rng = np.random.default_rng(5)
+        x, w, b = (ad.Tensor(rng.normal(size=s)) for s in ((5, 4), (3, 4), (3,)))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            y = ad.forward_affine(tape.watch(x), w, b, act)
+        plain = ad.forward_affine(x, w, b)
+        want = plain if act is None else ad.activation(plain, act)
+        assert np.array_equal(y.data, want.data)
+        assert [rec.op for rec in recorded(tape)] == ["affine" if act is None else f"affine_{act}"]
+
+    @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+    def test_fused_layer_gradients_with_broadcast_bias(self, act):
+        # a [K, out] bias against an [N, 1, in] input gives [N, K, out]
+        rng = np.random.default_rng(9)
+        x0, w0, b0 = (ad.Tensor(rng.normal(size=s)) for s in ((2, 1, 4), (3, 4), (5, 3)))
+        target = ad.Tensor(rng.uniform(size=(2, 5, 3)))
+
+        def f(xv, wv, bv):
+            return ad.mse_loss(ad.forward_affine(xv, wv, bv, act), target)
+
+        tape = ad.Tape()
+        with ad.recording(tape):
+            x, w, b = (tape.watch(t) for t in (x0, w0, b0))
+            loss = f(x, w, b)
+        assert [rec.op for rec in recorded(tape)] == [f"affine_{act}", "mse"]
+        for leaf, at, fd in ((x, x0, lambda v: f(v, w0, b0)),
+                             (w, w0, lambda v: f(x0, v, b0)),
+                             (b, b0, lambda v: f(x0, w0, v))):
+            got = ad.backward(loss, leaf)
+            assert got.shape == at.shape
+            assert rel_err(got.data, ad.finite_difference_gradient(fd, at).data) < 1e-6
+
+    def test_bias_that_does_not_broadcast_is_rejected(self):
+        x = ad.Tensor(np.zeros((2, 4)))
+        w = ad.Tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError):
+            ad.forward_affine(x, w, ad.Tensor(np.zeros((5, 3))))
+        with pytest.raises(ValueError):
+            ad.forward_affine(x, w, ad.Tensor(np.zeros(3)), "softplus")
+
     def test_shape_mismatch_names_both_shapes(self):
         x = ad.Tensor(np.zeros(5))
         w = ad.Tensor(np.zeros((3, 4)))
@@ -100,11 +142,11 @@ class TestForwardAffine:
 
 class TestActivations:
     def test_trivial_values(self):
-        assert ad.tanh(ad.Tensor([0.0])).data.tolist() == [0.0]
-        assert ad.sigmoid(ad.Tensor([0.0])).data.tolist() == [0.5]
+        assert ad.activation(ad.Tensor([0.0]), "tanh").data.tolist() == [0.0]
+        assert ad.activation(ad.Tensor([0.0]), "sigmoid").data.tolist() == [0.5]
 
     def test_sigmoid_stable_for_large_inputs(self):
-        y = ad.sigmoid(ad.Tensor([-1000.0, 1000.0]))
+        y = ad.activation(ad.Tensor([-1000.0, 1000.0]), "sigmoid")
         assert np.all(np.isfinite(y.data))
         assert y.data[0] == 0.0 and y.data[1] == 1.0
 
@@ -141,8 +183,8 @@ class TestMseLoss:
 
 
 def toy_network(x, w1, b1, w2, b2, target):
-    h = ad.tanh(ad.forward_affine(x, w1, b1))
-    y = ad.sigmoid(ad.forward_affine(h, w2, b2))
+    h = ad.activation(ad.forward_affine(x, w1, b1), "tanh")
+    y = ad.activation(ad.forward_affine(h, w2, b2), "sigmoid")
     return ad.mse_loss(y, target)
 
 
@@ -216,7 +258,7 @@ class TestBackward:
         with ad.recording(tape):
             x = tape.watch(x0)
             l1 = ad.mse_loss(x, t1)
-            l2 = ad.mse_loss(ad.tanh(x), t2)
+            l2 = ad.mse_loss(ad.activation(x, "tanh"), t2)
             combo = ad.add(ad.scale(l1, alpha), ad.scale(l2, beta))
         g1 = ad.backward(l1, x)
         g2 = ad.backward(l2, x)
@@ -229,7 +271,7 @@ class TestBackward:
         tape = ad.Tape()
         with ad.recording(tape):
             x = tape.watch(x0)
-            loss = ad.mse_loss(ad.tanh(x), ad.Tensor(np.zeros(5)))
+            loss = ad.mse_loss(ad.activation(x, "tanh"), ad.Tensor(np.zeros(5)))
         g1 = ad.backward(loss, x)
         g2 = ad.backward(loss, x)
         assert np.array_equal(g1.data, g2.data)
@@ -243,7 +285,7 @@ class TestBackward:
             tape = ad.Tape()
             with ad.recording(tape):
                 x = tape.watch(x0)
-                loss = ad.mse_loss(ad.sigmoid(ad.forward_affine(x, w, b)),
+                loss = ad.mse_loss(ad.activation(ad.forward_affine(x, w, b), "sigmoid"),
                                    ad.Tensor(np.zeros(3)))
             return loss.item(), ad.backward(loss, x).data
 
@@ -279,7 +321,7 @@ class TestBackward:
         tape = ad.Tape()
         with ad.recording(tape):
             x = tape.watch(x0)
-            y = ad.tanh(x)
+            y = ad.activation(x, "tanh")
             total = ad.scale(ad.mean(y), y.size)
         assert np.array_equal(ad.backward(y, x).data, ad.backward(total, x).data)
         assert np.array_equal(ad.backward(total, x).data,
@@ -298,29 +340,31 @@ class TestBatchPrimitives:
         with pytest.raises(ShapeError):
             ad.mean(ad.Tensor(a), 4)
 
-    def test_broadcast_values_and_shape_check(self):
+    def test_add_broadcasts_values_and_shape_check(self):
         x = ad.Tensor([[1.0, 2.0]])
-        y = ad.broadcast(x, (3, 4, 2))
+        y = ad.add(x, ad.Tensor(np.zeros((3, 4, 2))))
         assert y.shape == (3, 4, 2)
         assert np.array_equal(y.data, np.broadcast_to(x.data, (3, 4, 2)))
         with pytest.raises(ShapeError):
-            ad.broadcast(x, (3, 3))
+            ad.add(x, ad.Tensor(np.zeros((3, 3))))
 
-    def test_broadcast_vjp_sums_added_and_stretched_axes(self):
+    def test_add_vjp_sums_added_and_stretched_axes(self):
         rng = np.random.default_rng(33)
-        x0 = ad.Tensor(rng.normal(size=(2, 1, 3)))
+        a0 = ad.Tensor(rng.normal(size=(2, 1, 3)))
+        b0 = ad.Tensor(rng.normal(size=(4, 1, 5, 1)))
         target = ad.Tensor(rng.normal(size=(4, 2, 5, 3)))
 
-        def f(xv):
-            return ad.mse_loss(ad.tanh(ad.broadcast(xv, (4, 2, 5, 3))), target)
+        def f(av, bv):
+            return ad.mse_loss(ad.activation(ad.add(av, bv), "tanh"), target)
 
         tape = ad.Tape()
         with ad.recording(tape):
-            x = tape.watch(x0)
-            loss = f(x)
-        g = ad.backward(loss, x)
-        assert g.shape == (2, 1, 3)
-        assert rel_err(g.data, ad.finite_difference_gradient(f, x0).data) < 1e-5
+            a, b = tape.watch(a0), tape.watch(b0)
+            loss = f(a, b)
+        ga, gb = ad.backward(loss, a), ad.backward(loss, b)
+        assert ga.shape == (2, 1, 3) and gb.shape == (4, 1, 5, 1)
+        assert rel_err(ga.data, ad.finite_difference_gradient(lambda v: f(v, b0), a0).data) < 1e-5
+        assert rel_err(gb.data, ad.finite_difference_gradient(lambda v: f(a0, v), b0).data) < 1e-5
 
     def test_sum_of_row_losses_gives_each_row_its_own_gradient(self):
         rng = np.random.default_rng(35)
@@ -330,7 +374,7 @@ class TestBatchPrimitives:
         target = ad.Tensor(rng.normal(size=(5, 3)))
 
         def row_losses(xv, t):
-            return ad.mse_loss(ad.tanh(ad.forward_affine(xv, w, b)), t, 1)
+            return ad.mse_loss(ad.activation(ad.forward_affine(xv, w, b), "tanh"), t, 1)
 
         tape = ad.Tape()
         with ad.recording(tape):
@@ -366,7 +410,7 @@ class TestTracking:
         w0 = ad.Tensor(rng.normal(size=(2, 4)))
 
         def f(wv):
-            return ad.mse_loss(ad.tanh(ad.forward_affine(x, wv, b)), target)
+            return ad.mse_loss(ad.activation(ad.forward_affine(x, wv, b), "tanh"), target)
 
         tape = ad.Tape()
         with ad.recording(tape):
@@ -379,7 +423,7 @@ class TestTracking:
         tape = ad.Tape()
         (x,) = watched(tape, [1.0, 2.0])
         with ad.recording(tape):
-            const = ad.tanh(ad.Tensor([0.3, 0.4]))
+            const = ad.activation(ad.Tensor([0.3, 0.4]), "tanh")
             loss = ad.mse_loss(x, const)
         assert [rec.op for rec in recorded(tape)] == ["mse"]
         assert const._tape is None
@@ -393,7 +437,7 @@ class TestTapeLifetime:
         tape = ad.Tape()
         (x,) = watched(tape, [1.0, 2.0])
         with ad.recording(tape):
-            loss = ad.mse_loss(ad.tanh(x), ad.Tensor([0.0, 0.0]))
+            loss = ad.mse_loss(ad.activation(x, "tanh"), ad.Tensor([0.0, 0.0]))
         assert loss._tape is tape
         alive = weakref.ref(tape)
         gc.disable()
@@ -411,7 +455,7 @@ class TestTapeRecords:
         tape = ad.Tape()
         (x,) = watched(tape, [1.0, -2.0])
         with ad.recording(tape):
-            y = ad.tanh(x)
+            y = ad.activation(x, "tanh")
             loss = ad.mse_loss(y, ad.Tensor([0.0, 0.0]))
         assert [rec.op for rec in recorded(tape)] == ["tanh", "mse"]
         seen = {id(x)}
@@ -430,7 +474,7 @@ class TestStopRecording:
         (x,) = watched(tape, [1.0, 2.0])
         with ad.recording(tape):
             with ad.stop_recording():
-                ref = ad.tanh(x)
+                ref = ad.activation(x, "tanh")
             loss = ad.mse_loss(x, ref)
         assert all(rec.op != "tanh" for rec in recorded(tape))
         g = ad.backward(loss, x)

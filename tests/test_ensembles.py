@@ -56,8 +56,8 @@ class TestLossEnsemble:
         tape = ad.Tape()
         with ad.recording(tape):
             x = tape.watch(x0)
-            l1 = ad.mse_loss(ad.tanh(x), t1)
-            l2 = ad.mse_loss(ad.sigmoid(x), t2)
+            l1 = ad.mse_loss(ad.activation(x, "tanh"), t1)
+            l2 = ad.mse_loss(ad.activation(x, "sigmoid"), t2)
             combined = ad.add(ad.scale(l1, w1), ad.scale(l2, w2))
         want = ad.backward(combined, x)
 

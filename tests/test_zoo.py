@@ -247,6 +247,17 @@ class TestBatchAxes:
                 y = model.generate(z, attrs[i][k])
                 assert rel_err(Y.data[i, k], y.data) < 1e-12
 
+    def test_unfanned_latent_broadcasts_against_conditioning(self, model):
+        # z [N, 1, ...] with c [K, ...] gives [N, K, ...], each entry as its own call
+        images = generate_dataset(seed=14, count=3, shape=model.dims.image_shape)
+        attrs = zoo.sample_attribute_set(model, 4, 0, [15]).known
+        Z = model.encode(images.images)
+        Y = model.generate(Tensor(Z.data[:, None]), Tensor(np.stack([c.data for c in attrs])))
+        assert Y.shape == (3, 4) + model.dims.image_shape
+        for i in range(3):
+            for k, c in enumerate(attrs):
+                assert rel_err(Y.data[i, k], model.generate(Z[i], c).data) < 1e-12
+
     def test_mismatched_leading_axes_rejected(self, model):
         z = model.encode(Tensor(np.zeros((2,) + model.dims.image_shape)))
         c = attr_for(model)
