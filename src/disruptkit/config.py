@@ -36,6 +36,8 @@ class ModelSpec:
     dims: ModelDims = field(default_factory=ModelDims)
 
     def __post_init__(self):
+        if not self.name:
+            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
         if self.archetype not in ARCHETYPES:
             raise ConfigError(f"archetype must be one of {ARCHETYPES}, got {self.archetype!r}")
         if self.seed < 0:
@@ -61,6 +63,9 @@ class DatasetSpec:
             raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {self.kind!r}")
         if self.seed < 0:
             raise ConfigError(f"dataset.seed must be >= 0, got {self.seed}")
+        if len(self.image_shape) != 3 or any(s < 1 for s in self.image_shape):
+            raise ConfigError(
+                f"dataset.image_shape must be three positive dims, got {tuple(self.image_shape)}")
         if self.kind == "synthetic" and self.count < 1:
             raise ConfigError(f"dataset.count must be >= 1, got {self.count}")
         if self.kind == "directory" and not self.path:

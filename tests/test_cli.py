@@ -226,6 +226,7 @@ def _set(raw, path, value):
     (("attack", "random_init"), False, "attack.random_init"),
     # a lone surrogate, which no UTF-8 report can hold
     (("models", 0, "name"), "vec\ud800", "models[0].name"),
+    (("models", 0, "name"), "", "models[0].name"),
     # out-of-range values, rejected by the dataclass that owns the field
     (("models", 0, "seed"), -1, "models[0].seed"),
     (("models", 0, "archetype"), "bogus", "models[0].archetype"),
@@ -244,6 +245,7 @@ def _set(raw, path, value):
     (("dataset", "kind"), "bogus", "dataset.kind"),
     (("dataset", "count"), 0, "dataset.count"),
     (("dataset", "seed"), -1, "dataset.seed"),
+    (("dataset", "image_shape"), [0, 8, 1], "dataset.image_shape"),
     (("metrics_seed",), -1, "metrics_seed"),
 ])
 def test_run_malformed_config_exits_1(runner, tmp_path, path, value, field):

@@ -248,8 +248,10 @@ def test_every_field_range_holds_for_construct_and_replace(how, changes, match):
     ({"seed": -1}, "dataset.seed must be >= 0, got -1"),
     ({"kind": "directory"}, "dataset.path is required"),
     ({"kind": "directory", "path": ""}, "dataset.path is required"),
+    ({"image_shape": (0, 8, 1)}, r"dataset.image_shape must be three positive dims, got \(0, 8, 1\)"),
+    ({"image_shape": (8, 8)}, r"dataset.image_shape must be three positive dims, got \(8, 8\)"),
 ], ids=["unknown-kind", "no-images", "negative-seed", "directory-no-path",
-        "directory-empty-path"])
+        "directory-empty-path", "zero-image-dim", "two-image-dims"])
 def test_dataset_rules_hold_for_construct_and_replace(how, changes, match):
     with pytest.raises(ConfigError, match=match):
         if how == "construct":
@@ -265,7 +267,8 @@ def test_dataset_rules_hold_for_construct_and_replace(how, changes, match):
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"dims": ModelDims(latent_dim=12, latent_shape=(2, 2, 3))},
      "dims: latent_shape is only supported by vec_conditional, not refiner"),
-], ids=["unknown-archetype", "negative-seed", "refiner-latent-shape"])
+    ({"name": ""}, "name must be a non-empty string, got ''"),
+], ids=["unknown-archetype", "negative-seed", "refiner-latent-shape", "empty-name"])
 def test_model_rules_hold_for_construct_and_replace(how, changes, match):
     with pytest.raises(ConfigError, match=match):
         if how == "construct":
