@@ -140,7 +140,7 @@ class Tape:
         needs = tuple([id(t) in known for t in inputs])
         if True not in needs:
             return
-        self._records.append(_Record(op, tuple(inputs), needs, output, vjp_fn))
+        self._records.append(_Record(op, inputs, needs, output, vjp_fn))
         self._known.add(id(output))
         output._tape_ref = self._ref
 
@@ -198,7 +198,8 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
         raise ShapeError(
             f"affine input shape {input.shape} does not match weights {weights.shape}"
         )
-    _check_kind(act, allow_none=True)
+    if act is not None:
+        _check_kind(act)
     n_out, n_in = w.shape
     x_shape = x.shape
     y = (x.reshape(-1, n_in) @ w.T).reshape(x_shape[:-1] + (n_out,))
@@ -211,7 +212,7 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
             raise ShapeError(
                 f"affine bias shape {bias.shape} does not broadcast against input {input.shape}"
             ) from None
-    _activate(y, act, out=y)
+    _activate(y, act)
     y_lead = y.shape[:-1]
 
     def vjp(g, needs):
@@ -232,7 +233,7 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
 def activation(input: Tensor, kind: str) -> Tensor:
     """Elementwise tanh / sigmoid (the sigmoid stays finite for any input)."""
     _check_kind(kind)
-    y = _activate(input.data, kind, out=np.empty(input.shape))
+    y = _activate(np.array(input.data), kind)
 
     def vjp(g, needs):
         return (_activation_vjp(g, y, kind),)
@@ -240,24 +241,22 @@ def activation(input: Tensor, kind: str) -> Tensor:
     return _emit(kind, (input,), y, vjp)
 
 
-def _check_kind(kind: str | None, allow_none: bool = False) -> None:
-    if kind not in ACTIVATION_KINDS and not (allow_none and kind is None):
+def _check_kind(kind: str) -> None:
+    if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unsupported activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
 
 
-def _activate(x: np.ndarray, kind: str | None, out: np.ndarray) -> np.ndarray:
-    """``kind`` applied to ``x``, written into ``out`` (which may be ``x``)."""
+def _activate(x: np.ndarray, kind: str | None) -> np.ndarray:
+    """``kind`` applied to the fresh array ``x`` in place (None leaves it as is)."""
     if kind == "tanh":
-        np.tanh(x, out=out)
+        np.tanh(x, out=x)
     elif kind == "sigmoid":
         # 0.5 tanh(x/2) + 0.5: finite for any x, and exactly 0 below x ~ -37
-        np.multiply(x, 0.5, out=out)
-        np.tanh(out, out=out)
-        out *= 0.5
-        out += 0.5
-    elif out is not x:
-        out[...] = x
-    return out
+        x *= 0.5
+        np.tanh(x, out=x)
+        x *= 0.5
+        x += 0.5
+    return x
 
 
 def _activation_vjp(g: np.ndarray, y: np.ndarray, kind: str | None) -> np.ndarray:

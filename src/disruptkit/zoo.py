@@ -171,8 +171,9 @@ class TwoStageModel:
             h = latent
             for _ in range(self.dims.refine_steps):
                 h = ad.add(h, ad.forward_affine(h, w_z, cond, "tanh"))
-            # c's leading axes reach the output even with no refine step
-            gen1_b = Tensor._wrap(np.broadcast_to(p["gen1.b"].data, lead_c + p["gen1.b"].shape))
+            gen1_b = p["gen1.b"]
+            if not self.dims.refine_steps:  # c's leading axes still reach the output
+                gen1_b = Tensor._wrap(np.broadcast_to(gen1_b.data, lead_c + gen1_b.shape))
             h = ad.forward_affine(h, p["gen1.w"], gen1_b, "tanh")
         else:
             if self.archetype == "swapper":  # c is the target face, mixed in as features
