@@ -38,7 +38,11 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 class Tensor:
-    """Immutable dense array of 64-bit floats in row-major order."""
+    """Immutable array of 64-bit floats.
+
+    Computed tensors are dense and row-major; indexing (``t[i]``,
+    ``t[:, :n]``) gives read-only views of the indexed tensor.
+    """
 
     # a weak reference to the recording tape: the tape holds its outputs, so
     # a strong one would make every tape a cycle that only the cyclic GC frees
@@ -53,13 +57,14 @@ class Tensor:
         self._tape_ref = None
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path: takes ownership of a freshly computed array.
+    def _wrap(cls, arr: np.ndarray, dense: bool = True) -> "Tensor":
+        # Internal fast path: takes ownership of a freshly computed array, or
+        # (dense=False) keeps a view of a frozen one as it is, strided or not.
         # np.asarray (not ascontiguousarray) so 0-d scalars keep shape ().
         t = cls.__new__(cls)
         if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64:
             arr = np.asarray(arr, dtype=np.float64)
-        if not arr.flags.c_contiguous:
+        if dense and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         t._data = arr
@@ -92,8 +97,8 @@ class Tensor:
         return len(self._data)
 
     def __getitem__(self, index) -> "Tensor":
-        """Rows along the leading axis (numpy indexing): read-only, recorded on no tape."""
-        return Tensor._wrap(self._data[index])
+        """Numpy indexing, recorded on no tape; rows and slices are read-only views, not copies."""
+        return Tensor._wrap(self._data[index], dense=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"

@@ -126,7 +126,7 @@ class TwoStageModel:
     condition_shape: tuple[int, ...]
     dims: ModelDims
     # (latent columns, conditioning columns) of the weight where the
-    # conditioning enters (refine.w for the refiner, else gen1.w), sliced once
+    # conditioning enters (refine.w for the refiner, else gen1.w)
     split_weights: tuple[Tensor, Tensor] = field(compare=False, repr=False)
     counters: _Counters = field(default_factory=_Counters, compare=False, repr=False)
 
@@ -232,7 +232,7 @@ def build_model(archetype: str, seed: int, dims: ModelDims | None = None,
     dims = dims or ModelDims()
     enc_plan, gen_plan, latent_shape, condition_shape = layer_plan(archetype, dims)
     generator_params = init_parameters([seed, 1], gen_plan)
-    mixed = generator_params["refine.w" if archetype == "refiner" else "gen1.w"].data
+    mixed = generator_params["refine.w" if archetype == "refiner" else "gen1.w"]
     n_latent = math.prod(latent_shape)
     return TwoStageModel(
         name=name or f"{archetype}_{seed}",
@@ -242,8 +242,8 @@ def build_model(archetype: str, seed: int, dims: ModelDims | None = None,
         latent_shape=latent_shape,
         condition_shape=condition_shape,
         dims=dims,
-        # _wrap makes each column slice a contiguous array
-        split_weights=(Tensor._wrap(mixed[:, :n_latent]), Tensor._wrap(mixed[:, n_latent:])),
+        # views, not copies: BLAS reads a column block in place, with the same bits
+        split_weights=(mixed[:, :n_latent], mixed[:, n_latent:]),
     )
 
 

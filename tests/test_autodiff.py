@@ -43,6 +43,14 @@ class TestTensor:
             assert np.shares_memory(t[i].data, t.data)  # a view, not a copy
         assert len(list(t)) == 4
 
+    def test_column_slice_is_a_read_only_view(self):
+        t = ad.Tensor(np.arange(12.0).reshape(3, 4))
+        cols = t[:, 1:3]
+        assert np.array_equal(cols.data, t.data[:, 1:3])
+        assert np.shares_memory(cols.data, t.data)
+        with pytest.raises(ValueError):
+            cols.data[0, 0] = 5.0
+
     def test_source_array_is_copied(self):
         src = np.array([1.0, 2.0])
         t = ad.Tensor(src)

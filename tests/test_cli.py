@@ -226,7 +226,6 @@ def _set(raw, path, value):
     (("attack", "random_init"), False, "attack.random_init"),
     # a lone surrogate, which no UTF-8 report can hold
     (("models", 0, "name"), "vec\ud800", "models[0].name"),
-    (("models", 0, "name"), "", "models[0].name"),
     # out-of-range values, rejected by the dataclass that owns the field
     (("models", 0, "seed"), -1, "models[0].seed"),
     (("models", 0, "archetype"), "bogus", "models[0].archetype"),
@@ -245,8 +244,10 @@ def _set(raw, path, value):
     (("dataset", "kind"), "bogus", "dataset.kind"),
     (("dataset", "count"), 0, "dataset.count"),
     (("dataset", "seed"), -1, "dataset.seed"),
-    (("dataset", "image_shape"), [0, 8, 1], "dataset.image_shape"),
     (("metrics_seed",), -1, "metrics_seed"),
+    # rules of ModelSpec's name and DatasetSpec's image_shape
+    (("models", 0, "name"), "", "models[0].name"),
+    (("dataset", "image_shape"), [0, 8, 1], "dataset.image_shape"),
 ])
 def test_run_malformed_config_exits_1(runner, tmp_path, path, value, field):
     raw = _config_dict()

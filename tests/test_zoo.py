@@ -52,6 +52,13 @@ class TestBuildDeterminism:
             m.generator_params["gen1.w"].data.reshape(-1)[:10],
         )
 
+    def test_split_weights_are_column_views_of_the_drawn_matrix(self, model):
+        w = model.generator_params["refine.w" if model.archetype == "refiner" else "gen1.w"]
+        w_z, w_c = model.split_weights
+        assert w_z.shape[1] == int(np.prod(model.latent_shape))
+        assert np.array_equal(np.concatenate([w_z.data, w_c.data], axis=1), w.data)
+        assert np.shares_memory(w_z.data, w.data) and np.shares_memory(w_c.data, w.data)
+
     def test_biases_are_zero(self, model):
         for ps in (model.encoder_params, model.generator_params):
             for name in ps.names():
