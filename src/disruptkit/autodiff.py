@@ -11,11 +11,12 @@ VJPs sum each gradient back to its input's shape), so a term computed once
 serves an input that was never fanned out. Everything runs in 64-bit floats
 so gradients can be validated tightly against central finite differences.
 
-Recording is opt-in: ops consult the active tape and compute
-plainly when none is active (used for frozen reference values). A tape tracks
-only the tensors it watches and the outputs of ops it recorded; an op with no
-tracked input is not recorded, and a backward pass computes no gradient for an
-untracked input (model weights, frozen references). A backward pass always
+Recording is opt-in: ops consult the active tape and compute plainly when none
+is active (used for frozen reference values). A tape tracks only the tensors it
+watches and the outputs of ops it recorded; an op with no tracked input is not
+recorded, and a backward pass computes no gradient for an untracked input. A
+layer's weights and bias are constants: a backward pass that meets a tracked one
+raises LineageError rather than return a zero gradient. A backward pass always
 differentiates the sum of the loss's elements, so one pass over a stack's
 per-image losses gives each image its own gradient. A tape is never mutated
 by a backward pass, so it can be differentiated repeatedly.
@@ -193,6 +194,7 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
     (say, a conditioning term for K attributes) serves an input that was never
     fanned out to K. ``act`` is None (plain affine) or one of
     ``ACTIVATION_KINDS``; its derivative is applied inside the same VJP.
+    ``weights`` and ``bias`` are constants: the VJP raises LineageError if either is tracked.
     """
     w, b, x = weights.data, bias.data, input.data
     if w.ndim != 2:
@@ -218,21 +220,15 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
                 f"affine bias shape {bias.shape} does not broadcast against input {input.shape}"
             ) from None
     _activate(y, act)
-    y_lead = y.shape[:-1]
+    op = "affine" if act is None else f"affine_{act}"
 
     def vjp(g, needs):
-        g = _activation_vjp(g, y, act)
-        gx = gw = gb = None
-        if needs[0]:
-            gx = (_sum_to(g, x_shape[:-1] + (n_out,)).reshape(-1, n_out) @ w).reshape(x_shape)
-        if needs[1]:
-            xb = x if x_shape[:-1] == y_lead else np.broadcast_to(x, y_lead + (n_in,))
-            gw = g.reshape(-1, n_out).T @ xb.reshape(-1, n_in)
-        if needs[2]:
-            gb = _sum_to(g, b.shape)
-        return gx, gw, gb
+        if needs[1] or needs[2]:
+            raise LineageError(f"{op}: layer weights and bias are constants and have no gradient")
+        g = _sum_to(_activation_vjp(g, y, act), x_shape[:-1] + (n_out,))
+        return (g.reshape(-1, n_out) @ w).reshape(x_shape), None, None
 
-    return _emit("affine" if act is None else f"affine_{act}", (input, weights, bias), y, vjp)
+    return _emit(op, (input, weights, bias), y, vjp)
 
 
 def activation(input: Tensor, kind: str) -> Tensor:

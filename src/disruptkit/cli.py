@@ -6,7 +6,6 @@ else.
 """
 
 import functools
-import json
 import os
 import sys
 from dataclasses import replace
@@ -22,6 +21,7 @@ from .harness import (
     build_world,
     craft,
     emit_reports,
+    json_text,
     run_experiment,
     scorer,
     source_image,
@@ -69,8 +69,8 @@ def _echo(text: str, stream: str = "stdout", nl: bool = True) -> None:
 
 
 def _write_json(payload, out_path) -> None:
-    """Strict, sorted JSON to ``out_path`` (whose name is echoed), or to stdout."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json_text(payload)`` to ``out_path`` (whose name is echoed), or to stdout."""
+    text = json_text(payload)
     if out_path is None:
         _echo(text, nl=False)
     else:

@@ -119,8 +119,7 @@ def source_image(config: ExperimentConfig, index: int) -> Tensor:
         raise ConfigError(f"image_index {index} outside dataset of {count}")
     if spec.kind == "directory":
         return dataset[index]
-    one = synthetic_image(spec.seed, index, spec.image_shape)
-    return SyntheticDataset(Tensor._wrap(one[None]))[0]
+    return Tensor._wrap(synthetic_image(spec.seed, index, spec.image_shape))
 
 
 def build_models(config: ExperimentConfig) -> tuple[dict, dict]:
@@ -272,6 +271,11 @@ def _aggregates(report: EvaluationReport) -> dict:
     return out
 
 
+def json_text(payload) -> str:
+    """``payload`` as strict JSON (no NaN or infinity): sorted keys, indent 2, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_results(report: EvaluationReport, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["scenario", "method", "model", "image_index",
@@ -300,8 +304,7 @@ def _write_summary(report: EvaluationReport, fh) -> None:
             "success_rule": "any distance strictly above its threshold",
         },
     }
-    json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-    fh.write("\n")
+    fh.write(json_text(payload))
 
 
 def _write_latents(report: EvaluationReport, fh) -> None:
@@ -312,8 +315,7 @@ def _write_latents(report: EvaluationReport, fh) -> None:
 
 
 def _write_echo(report: EvaluationReport, fh) -> None:
-    json.dump(report.config.normalized(), fh, indent=2, sort_keys=True, allow_nan=False)
-    fh.write("\n")
+    fh.write(json_text(report.config.normalized()))
 
 
 REPORT_WRITERS = {

@@ -109,27 +109,27 @@ class TestForwardAffine:
         assert np.array_equal(y.data, want.data)
         assert [rec.op for rec in recorded(tape)] == ["affine" if act is None else f"affine_{act}"]
 
-    @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("act", [None, "tanh", "sigmoid"])
     def test_fused_layer_gradients_with_broadcast_bias(self, act):
-        # a [K, out] bias against an [N, 1, in] input gives [N, K, out]
+        # a [K, out] bias against an [N, 1, in] input gives [N, K, out]; the
+        # input's gradient sums the K axis back to its shape
         rng = np.random.default_rng(9)
-        x0, w0, b0 = (ad.Tensor(rng.normal(size=s)) for s in ((2, 1, 4), (3, 4), (5, 3)))
+        x0, w, b = (ad.Tensor(rng.normal(size=s)) for s in ((2, 1, 4), (3, 4), (5, 3)))
         target = ad.Tensor(rng.uniform(size=(2, 5, 3)))
 
-        def f(xv, wv, bv):
-            return ad.mse_loss(ad.forward_affine(xv, wv, bv, act), target)
+        def f(xv):
+            return ad.mse_loss(ad.forward_affine(xv, w, b, act), target)
 
         tape = ad.Tape()
         with ad.recording(tape):
-            x, w, b = (tape.watch(t) for t in (x0, w0, b0))
-            loss = f(x, w, b)
-        assert [rec.op for rec in recorded(tape)] == [f"affine_{act}", "mse"]
-        for leaf, at, fd in ((x, x0, lambda v: f(v, w0, b0)),
-                             (w, w0, lambda v: f(x0, v, b0)),
-                             (b, b0, lambda v: f(x0, w0, v))):
-            got = ad.backward(loss, leaf)
-            assert got.shape == at.shape
-            assert rel_err(got.data, ad.finite_difference_gradient(fd, at).data) < 1e-6
+            x = tape.watch(x0)
+            loss = f(x)
+        assert [rec.op for rec in recorded(tape)] == [
+            "affine" if act is None else f"affine_{act}", "mse"]
+        assert recorded(tape)[0].needs == (True, False, False)
+        got = ad.backward(loss, x)
+        assert got.shape == x0.shape
+        assert rel_err(got.data, ad.finite_difference_gradient(f, x0).data) < 1e-6
 
     def test_bias_that_does_not_broadcast_is_rejected(self):
         x = ad.Tensor(np.zeros((2, 4)))
@@ -410,22 +410,20 @@ class TestTracking:
         with pytest.raises(LineageError):
             ad.backward(loss, w)
 
-    def test_watched_weights_get_their_gradient(self):
+    @pytest.mark.parametrize("tracked", [1, 2], ids=["weights", "bias"])
+    @pytest.mark.parametrize("act", [None, "tanh"])
+    def test_tracked_layer_parameters_raise(self, tracked, act):
+        # layer parameters are constants: tracking one is an error, not a zero gradient
         rng = np.random.default_rng(37)
-        x = ad.Tensor(rng.normal(size=(3, 4)))
-        b = ad.Tensor(rng.normal(size=2))
-        target = ad.Tensor(rng.normal(size=(3, 2)))
-        w0 = ad.Tensor(rng.normal(size=(2, 4)))
-
-        def f(wv):
-            return ad.mse_loss(ad.activation(ad.forward_affine(x, wv, b), "tanh"), target)
-
+        x0, w, b = (ad.Tensor(rng.normal(size=s)) for s in ((3, 4), (2, 4), (2,)))
         tape = ad.Tape()
         with ad.recording(tape):
-            w = tape.watch(w0)
-            loss = f(w)
-        g = ad.backward(loss, w)
-        assert rel_err(g.data, ad.finite_difference_gradient(f, w0).data) < 1e-5
+            inputs = [tape.watch(x0), w, b]
+            inputs[tracked] = tape.watch(inputs[tracked])
+            loss = ad.mse_loss(ad.forward_affine(*inputs, act), ad.Tensor(np.zeros((3, 2))))
+        for wrt in (inputs[0], inputs[tracked]):
+            with pytest.raises(LineageError, match="affine" if act is None else f"affine_{act}"):
+                ad.backward(loss, wrt)
 
     def test_ops_on_untracked_inputs_are_not_recorded(self):
         tape = ad.Tape()

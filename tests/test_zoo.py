@@ -265,6 +265,18 @@ class TestBatchAxes:
             for k, c in enumerate(attrs):
                 assert rel_err(Y.data[i, k], model.generate(Z[i], c).data) < 1e-12
 
+    def test_refiner_without_refinement_broadcasts_conditioning(self):
+        # with no refine step only gen1's bias carries c's leading axes to the output
+        model = zoo.build_model("refiner", seed=6, dims=zoo.ModelDims(refine_steps=0))
+        images = generate_dataset(seed=16, count=2, shape=model.dims.image_shape)
+        attrs = zoo.sample_attribute_set(model, 3, 0, [17]).known
+        Z = model.encode(images.images)
+        Y = model.generate(Tensor(Z.data[:, None]), Tensor(np.stack([c.data for c in attrs])))
+        assert Y.shape == (2, 3) + model.dims.image_shape
+        for i in range(2):
+            for k, c in enumerate(attrs):
+                assert rel_err(Y.data[i, k], model.generate(Z[i], c).data) < 1e-12
+
     def test_mismatched_leading_axes_rejected(self, model):
         z = model.encode(Tensor(np.zeros((2,) + model.dims.image_shape)))
         c = attr_for(model)
