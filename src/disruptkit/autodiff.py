@@ -224,7 +224,7 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
 
     def vjp(g, needs):
         if needs[1] or needs[2]:
-            raise LineageError(f"{op}: layer weights and bias are constants and have no gradient")
+            raise LineageError(f"{op}: weights and bias (a computed bias too) are constants")
         g = _sum_to(_activation_vjp(g, y, act), x_shape[:-1] + (n_out,))
         return (g.reshape(-1, n_out) @ w).reshape(x_shape), None, None
 

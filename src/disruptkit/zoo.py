@@ -153,7 +153,8 @@ class TwoStageModel:
         give the output's. The conditioning term (``c``'s weight columns plus
         the bias) is computed once per call, on ``c``'s own leading axes, so
         ``z[N, 1, ...]`` with ``c[K, ...]`` gives ``[N, K, ...]`` without
-        fanning the latent out to K first.
+        fanning the latent out to K first. That term is a layer's bias, so ``c``
+        is a constant: a backward pass raises LineageError if ``c`` is tracked.
         """
         lead_z = self._batch_axes(latent, self.latent_shape, "latent")
         lead_c = self._batch_axes(c, self.condition_shape, "conditioning")

@@ -254,26 +254,19 @@ class TestBatchAxes:
                 y = model.generate(z, attrs[i][k])
                 assert rel_err(Y.data[i, k], y.data) < 1e-12
 
-    def test_unfanned_latent_broadcasts_against_conditioning(self, model):
-        # z [N, 1, ...] with c [K, ...] gives [N, K, ...], each entry as its own call
+    @pytest.mark.parametrize("archetype, dims", [(a, None) for a in zoo.ARCHETYPES]
+                             + [("refiner", zoo.ModelDims(refine_steps=0))],
+                             ids=[*zoo.ARCHETYPES, "refiner_no_refine"])
+    def test_unfanned_latent_broadcasts_against_conditioning(self, archetype, dims):
+        # z [N, 1, ...] with c [K, ...] gives [N, K, ...], each entry as its own call; with
+        # no refine step only gen1's bias carries c's leading axes to the output
+        model = zoo.build_model(archetype, seed=42, dims=dims)
         images = generate_dataset(seed=14, count=3, shape=model.dims.image_shape)
         attrs = zoo.sample_attribute_set(model, 4, 0, [15]).known
         Z = model.encode(images.images)
         Y = model.generate(Tensor(Z.data[:, None]), Tensor(np.stack([c.data for c in attrs])))
         assert Y.shape == (3, 4) + model.dims.image_shape
         for i in range(3):
-            for k, c in enumerate(attrs):
-                assert rel_err(Y.data[i, k], model.generate(Z[i], c).data) < 1e-12
-
-    def test_refiner_without_refinement_broadcasts_conditioning(self):
-        # with no refine step only gen1's bias carries c's leading axes to the output
-        model = zoo.build_model("refiner", seed=6, dims=zoo.ModelDims(refine_steps=0))
-        images = generate_dataset(seed=16, count=2, shape=model.dims.image_shape)
-        attrs = zoo.sample_attribute_set(model, 3, 0, [17]).known
-        Z = model.encode(images.images)
-        Y = model.generate(Tensor(Z.data[:, None]), Tensor(np.stack([c.data for c in attrs])))
-        assert Y.shape == (2, 3) + model.dims.image_shape
-        for i in range(2):
             for k, c in enumerate(attrs):
                 assert rel_err(Y.data[i, k], model.generate(Z[i], c).data) < 1e-12
 
