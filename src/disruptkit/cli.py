@@ -3,6 +3,12 @@
 Every subcommand is a pure function of the config file plus explicit flags;
 exit codes are 0 on success, 1 for configuration problems, 2 for anything
 else.
+
+The ``disruptkit`` process keeps a glibc top pad (``mallopt(M_TOP_PAD)``,
+set once by the command group). Without it, glibc trims the heap top that
+one attack iteration, or one in-process request, frees, and the next one
+faults it back in. The library sets no allocator state: only the CLI's own
+process gets the pad.
 """
 
 import functools
@@ -96,9 +102,29 @@ def _guarded(command):
     return guarded
 
 
+# glibc's mallopt number for the top pad, and the pad: the smallest power of two that left
+# no minor faults in `attack` image requests after LEAT ones, nor in a README-config `run`
+_M_TOP_PAD = -2
+_TOP_PAD_BYTES = 32 << 20
+
+
+@functools.cache
+def _keep_heap_top() -> None:
+    """Set glibc's top pad for this process; a no-op where glibc or mallopt is absent."""
+    import ctypes  # imported only when the CLI runs, so `import disruptkit` is unchanged
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # the loaded C library; no find_library subprocess
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
 @click.group()
 def main():
     """Adversarial disruption experiments against a toy two-stage model zoo."""
+    _keep_heap_top()
 
 
 @main.command()
@@ -128,10 +154,10 @@ def attack(config_path, out_path, image_index, method, seed_override):
     if method not in config.objectives:
         raise ConfigError(f"method {method!r} is not in config.objectives")
     X = source_image(config, image_index)  # checked before any model is built
-    models, pools = build_models(config)
-    one = replace(config, objectives=(method,),
+    # only the method's own reads: a LEAT request draws no generator, no pool and no holdout
+    one = replace(config, objectives=(method,), scenarios=(),
                   attack=replace(config.attack, seed=(config.attack.seed, image_index)))
-    eta = craft(one, models, pools, X)[0][method]
+    eta = craft(one, *build_models(one), X)[0][method]
     payload = {
         "method": method,
         "image_index": image_index,

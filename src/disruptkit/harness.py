@@ -122,18 +122,47 @@ def source_image(config: ExperimentConfig, index: int) -> Tensor:
     return Tensor._wrap(synthetic_image(spec.seed, index, spec.image_shape))
 
 
+class _Pools(dict):
+    """A config's attribute pools by model name; each is drawn on first read.
+
+    A pool is drawn from its own stream ``[attributes.seed, index]``, so the
+    bits do not depend on the order of reads. Only drawn pools are keys.
+    """
+
+    def __init__(self, config: ExperimentConfig, models: dict):
+        super().__init__()
+        self._config, self._models = config, models
+        self._index = {spec.name: index for index, spec in enumerate(config.models)}
+
+    def __missing__(self, name: str):
+        config = self._config
+        pool = self[name] = sample_attribute_set(
+            self._models[name], config.n_known, config.n_unknown,
+            [config.attribute_seed, self._index[name]])
+        return pool
+
+
 def build_models(config: ExperimentConfig) -> tuple[dict, dict]:
-    """The config's models and attribute pools, by model name."""
+    """The config's models and attribute pools, by model name.
+
+    Drawn here, so that no draw falls inside `craft`'s clock, is what
+    ``config`` reads: every attacked model's encoder; with ``image_attack``,
+    also their generators and pools; with any scenario, every stage and
+    pool. The rest is drawn on first read, if it is ever read, so a LEAT-only
+    `disruptkit attack` draws no generator and no pool.
+    """
     models = {
         spec.name: build_model(spec.archetype, spec.seed, spec.dims, name=spec.name)
         for spec in config.models
     }
-    pools = {
-        spec.name: sample_attribute_set(
-            models[spec.name], config.n_known, config.n_unknown,
-            [config.attribute_seed, index])
-        for index, spec in enumerate(config.models)
-    }
+    pools = _Pools(config, models)
+    read = list(models) if config.scenarios else config.attack_model_names()
+    generators = bool(config.scenarios) or "image_attack" in config.objectives
+    for name in read:  # each read draws a stage or a pool now
+        models[name].encoder_params  # noqa: B018
+        if generators:
+            models[name].split_weights  # noqa: B018 - draws generator_params too
+            pools[name]  # noqa: B018
     return models, pools
 
 
@@ -154,13 +183,12 @@ def craft(config: ExperimentConfig, models: dict, pools: dict, X: Tensor):
     encode/generate calls. Raises InvariantError if the holdout was called.
     """
     attack_models = [models[n] for n in config.attack_model_names()]
-    known = {m.name: pools[m.name].known for m in attack_models}
     for model in models.values():
         model.counters.reset()
     etas, runtime = {}, {}
     for method in config.objectives:
-        objective = (LatentAttackObjective() if method == "leat"
-                     else ImageAttackObjective(attributes_by_model=known))
+        objective = (LatentAttackObjective() if method == "leat" else ImageAttackObjective(
+            attributes_by_model={m.name: pools[m.name].known for m in attack_models}))
         start = time.perf_counter()
         provider = build_gradient_provider(attack_models, objective, config.ensemble, X)
         etas[method] = run_attack(provider, X, config.attack)

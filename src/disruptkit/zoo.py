@@ -13,12 +13,16 @@ Four archetypes with heterogeneous latents:
 
 The conditioning enters through its own columns of one weight (``gen1.w``,
 or ``refine.w`` for the refiner), as if ``[z, c]`` were concatenated:
-``W [z, c] + b = W_z z + (W_c c + b)``. ``build_model`` slices the two
-column blocks once, and ``generate`` computes ``W_c c + b`` once per call.
+``W [z, c] + b = W_z z + (W_c c + b)``. The two column blocks are sliced
+once, and ``generate`` computes ``W_c c + b`` once per call.
 
 All parameters are frozen random draws from a named seed; no training
-happens anywhere. Encoders never see the attribute input, so the latent is
-a pure function of (params, X) by construction.
+happens anywhere. Each stage is drawn from its own stream when it is first
+read (the encoder from ``[seed, 0]``, the generator from ``[seed, 1]``), so
+the bits do not depend on which stage is read first, and a model that only
+encodes (the latent attack's) never draws its generator. Encoders never see
+the attribute input, so the latent is a pure function of (params, X) by
+construction.
 
 An archetype is declared once, in ``layer_plan``: its encoder and
 generator layer tables, its ``latent_shape`` and its ``condition_shape``
@@ -32,6 +36,7 @@ numpy rules. A single image is the case with no leading axes. Each layer
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -111,24 +116,39 @@ class _Counters:
 
 @dataclass(frozen=True)
 class TwoStageModel:
-    """Frozen two-stage generative model; parameters immutable after build.
+    """Frozen two-stage generative model; parameters immutable once drawn.
 
-    The only mutable state is the diagnostic call counter pair, which tests
-    and the harness use to verify structural claims (e.g. that a latent-only
-    attack never invokes the generator).
+    ``encoder_params``, ``generator_params`` and ``split_weights`` are drawn
+    on first read from the model's ``seed``. The only mutable state is the
+    diagnostic call counter pair, which tests and the harness use to verify
+    structural claims (e.g. that a latent-only attack never invokes the
+    generator).
     """
 
     name: str
     archetype: str
-    encoder_params: ParameterSet
-    generator_params: ParameterSet
+    seed: int
     latent_shape: tuple[int, ...]
     condition_shape: tuple[int, ...]
     dims: ModelDims
-    # (latent columns, conditioning columns) of the weight where the
-    # conditioning enters (refine.w for the refiner, else gen1.w)
-    split_weights: tuple[Tensor, Tensor] = field(compare=False, repr=False)
     counters: _Counters = field(default_factory=_Counters, compare=False, repr=False)
+
+    @functools.cached_property
+    def encoder_params(self) -> ParameterSet:
+        return init_parameters([self.seed, 0], layer_plan(self.archetype, self.dims)[0])
+
+    @functools.cached_property
+    def generator_params(self) -> ParameterSet:
+        return init_parameters([self.seed, 1], layer_plan(self.archetype, self.dims)[1])
+
+    @functools.cached_property
+    def split_weights(self) -> tuple[Tensor, Tensor]:
+        """(latent columns, conditioning columns) of the weight where the
+        conditioning enters (``refine.w`` for the refiner, else ``gen1.w``)."""
+        mixed = self.generator_params["refine.w" if self.archetype == "refiner" else "gen1.w"]
+        n_latent = math.prod(self.latent_shape)
+        # views, not copies: BLAS reads a column block in place, with the same bits
+        return mixed[:, :n_latent], mixed[:, n_latent:]
 
     # -- encoding stage ----------------------------------------------------
 
@@ -200,8 +220,10 @@ class TwoStageModel:
 
     @property
     def parameter_ratio(self) -> float:
-        """generator / encoder parameter count (runtime-asymmetry knob)."""
-        return self.generator_params.count / self.encoder_params.count
+        """generator / encoder parameter count (runtime-asymmetry knob), from the layer shapes."""
+        enc, gen = (sum(out_dim * (in_dim + 1) for _, out_dim, in_dim in layers)
+                    for layers in layer_plan(self.archetype, self.dims)[:2])
+        return gen / enc
 
 
 def layer_plan(archetype: str, dims: ModelDims) -> tuple[list, list, tuple, tuple]:
@@ -229,22 +251,19 @@ def layer_plan(archetype: str, dims: ModelDims) -> tuple[list, list, tuple, tupl
 
 def build_model(archetype: str, seed: int, dims: ModelDims | None = None,
                 name: str | None = None) -> TwoStageModel:
-    """Deterministic model: same (archetype, seed, dims) always gives identical weights."""
+    """Deterministic model: same (archetype, seed, dims) always gives identical weights.
+
+    Nothing is drawn here: each stage is drawn when first read.
+    """
     dims = dims or ModelDims()
-    enc_plan, gen_plan, latent_shape, condition_shape = layer_plan(archetype, dims)
-    generator_params = init_parameters([seed, 1], gen_plan)
-    mixed = generator_params["refine.w" if archetype == "refiner" else "gen1.w"]
-    n_latent = math.prod(latent_shape)
+    latent_shape, condition_shape = layer_plan(archetype, dims)[2:]
     return TwoStageModel(
         name=name or f"{archetype}_{seed}",
         archetype=archetype,
-        encoder_params=init_parameters([seed, 0], enc_plan),
-        generator_params=generator_params,
+        seed=seed,
         latent_shape=latent_shape,
         condition_shape=condition_shape,
         dims=dims,
-        # views, not copies: BLAS reads a column block in place, with the same bits
-        split_weights=(mixed[:, :n_latent], mixed[:, n_latent:]),
     )
 
 

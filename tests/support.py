@@ -11,6 +11,15 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.linalg.norm(got - want)) / denom
 
 
+# a model's lazily drawn stages, each a cached attribute once read
+STAGES = ("encoder_params", "generator_params", "split_weights")
+
+
+def drawn_stages(model) -> set:
+    """The stages of ``model`` drawn so far."""
+    return {stage for stage in STAGES if stage in vars(model)}
+
+
 def recorded(tape) -> list:
     """The records of ``tape``, in creation order."""
     return list(tape._records)

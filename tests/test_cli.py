@@ -1,12 +1,14 @@
 """CLI surface: subcommands, flag handling, exit codes, output determinism."""
 
 import contextlib
+import ctypes
 import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from disruptkit.config import ExperimentConfig, load_config
 from disruptkit.ensembles import ENSEMBLE_KINDS
 from disruptkit.harness import build_world, run_experiment
 from disruptkit.metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
+
+from support import STAGES, drawn_stages
 
 
 def _config_dict(**overrides):
@@ -475,6 +479,94 @@ def test_in_process_call_keeps_no_stream(tmp_path, index, code):
     del streams
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def _draws_of_attack(runner, tmp_path, monkeypatch, method):
+    """Per model the stages an in-process `attack` request drew, and the pools it drew."""
+    built, pooled = {}, []
+    build_model = disruptkit.harness.build_model
+    sample_attribute_set = disruptkit.harness.sample_attribute_set
+
+    def recording_build(*args, **kwargs):
+        model = build_model(*args, **kwargs)
+        built[model.name] = model
+        return model
+
+    def recording_sample(model, *args):
+        pooled.append(model.name)
+        return sample_attribute_set(model, *args)
+
+    monkeypatch.setattr("disruptkit.harness.build_model", recording_build)
+    monkeypatch.setattr("disruptkit.harness.sample_attribute_set", recording_sample)
+    models = _config_dict()["models"] + [
+        {"name": "held_out", "archetype": "vec_conditional", "seed": 2}]
+    cfg = _write_config(tmp_path, models=models, holdout_model="held_out",
+                        scenarios=["white_box", "gray_box", "black_box"])
+    result = runner.invoke(main, ["attack", "--config", str(cfg), "--method", method])
+    assert result.exit_code == 0, result.output
+    return {name: drawn_stages(m) for name, m in built.items()}, pooled
+
+
+def test_leat_attack_draws_no_generator_and_no_pool(runner, tmp_path, monkeypatch):
+    # the structural companion of criterion 06: LEAT never needs a generator or a pool,
+    # and the holdout is never read at all
+    drawn, pooled = _draws_of_attack(runner, tmp_path, monkeypatch, "leat")
+    assert drawn == {"vec_a": {"encoder_params"}, "refiner_a": {"encoder_params"},
+                     "held_out": set()}
+    assert pooled == []
+
+
+def test_image_attack_draws_only_the_attacked_generators(runner, tmp_path, monkeypatch):
+    drawn, pooled = _draws_of_attack(runner, tmp_path, monkeypatch, "image_attack")
+    assert drawn == {"vec_a": set(STAGES), "refiner_a": set(STAGES), "held_out": set()}
+    assert sorted(pooled) == ["refiner_a", "vec_a"]
+
+
+class _Mallopt:
+    """Stands in for libc's mallopt and records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_only_the_cli_sets_the_heap_pad(runner, tmp_path, monkeypatch):
+    # the CLI sets glibc's top pad once per process; a library caller never does
+    opened, mallopt = [], _Mallopt()
+
+    def cdll(name):
+        opened.append(name)
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    disruptkit.cli._keep_heap_top.cache_clear()
+    try:
+        cfg = _write_config(tmp_path)
+        run_experiment(load_config(cfg))
+        assert opened == []
+        for _ in range(2):
+            assert runner.invoke(main, ["attack", "--config", str(cfg)]).exit_code == 0
+        assert opened == [None]  # the loaded C library, never a find_library search
+        assert mallopt.calls == [(-2, 32 << 20)]  # M_TOP_PAD, 32 MiB
+    finally:
+        disruptkit.cli._keep_heap_top.cache_clear()
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("cdll", [
+    lambda name: types.SimpleNamespace(),  # a C library without mallopt
+    lambda name: _raise(OSError("no C library")),
+    lambda name: _raise(TypeError("no default library on this platform")),
+], ids=["no_mallopt", "oserror", "typeerror"])
+def test_heap_pad_is_a_no_op_without_glibc(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    disruptkit.cli._keep_heap_top.__wrapped__()  # returns without raising
 
 
 def test_attack_method_not_configured_exits_1(runner, tmp_path):

@@ -11,8 +11,16 @@ from disruptkit.autodiff import Tensor
 from disruptkit.config import example_config, parse_config
 from disruptkit.dataset import generate_dataset, write_pnm
 from disruptkit.errors import ConfigError
-from disruptkit.harness import build_world, emit_reports, run_experiment, source_image
+from disruptkit.harness import (
+    build_models,
+    build_world,
+    emit_reports,
+    run_experiment,
+    source_image,
+)
 from disruptkit.metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
+
+from support import STAGES, drawn_stages
 
 
 def _raw(**overrides):
@@ -148,6 +156,39 @@ def test_summary_aggregates_match_csv(report, tmp_path):
             assert agg["mean_id"] == float(np.mean([float(r["id"]) for r in picked]))
             assert agg["mean_lpips"] == float(
                 np.mean([float(r["lpips"]) for r in picked]))
+
+
+EVERYTHING = {*STAGES, "pool"}
+
+
+@pytest.mark.parametrize("objectives, scenarios, attacked, held_out", [
+    (("image_attack", "leat"), (), EVERYTHING, set()),
+    (("image_attack",), (), EVERYTHING, set()),
+    (("leat",), (), {"encoder_params"}, set()),
+    (("leat",), ("white_box", "black_box"), EVERYTHING, EVERYTHING),
+], ids=["both", "image_attack", "leat", "leat_with_scenarios"])
+def test_build_world_draws_what_the_config_reads(objectives, scenarios, attacked, held_out):
+    # what craft reads is drawn before its clock starts; the rest waits for a first read
+    config = replace(parse_config(_raw()), objectives=objectives, scenarios=scenarios)
+    models, pools, _ = build_world(config)
+    drawn = {name: drawn_stages(m) for name, m in models.items()}
+    for name in pools:  # only drawn pools are keys
+        drawn[name].add("pool")
+    assert drawn == {"vec_a": attacked, "refiner_a": attacked, "held_out": held_out}
+
+
+def test_pools_drawn_on_read_keep_their_bits():
+    # a pool drawn on first read is the one its stream [attributes.seed, index] gives
+    config = parse_config(_raw())
+    lazy = build_models(replace(config, objectives=("leat",), scenarios=()))[1]
+    eager = build_models(config)[1]
+    assert dict(lazy) == {}
+    for name in ("held_out", "vec_a", "refiner_a"):  # out of config order
+        for side in ("known", "unknown"):
+            assert [c.data.tolist() for c in getattr(lazy[name], side)] == [
+                c.data.tolist() for c in getattr(eager[name], side)]
+    with pytest.raises(KeyError):
+        lazy["nobody"]
 
 
 def test_rows_match_per_pair_oracle():

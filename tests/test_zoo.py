@@ -9,7 +9,7 @@ from disruptkit.autodiff import Tensor
 from disruptkit.dataset import generate_dataset
 from disruptkit.errors import ConfigError, ShapeError
 
-from support import rel_err
+from support import STAGES, drawn_stages, rel_err
 
 
 def source_image(seed=0, shape=(8, 8, 1)):
@@ -301,6 +301,45 @@ class TestConditionalBehavior:
 class TestCapacityAsymmetry:
     def test_generator_at_least_four_times_encoder(self, model):
         assert model.parameter_ratio >= 4.0
+
+
+# every archetype, plus the two shapes with their own code paths
+VARIANTS = [(arch, zoo.ModelDims()) for arch in zoo.ARCHETYPES] + [
+    ("vec_conditional", zoo.ModelDims(latent_shape=(3, 2, 2))),
+    ("refiner", zoo.ModelDims(refine_steps=0)),
+]
+VARIANT_IDS = list(zoo.ARCHETYPES) + ["vec_conditional_feature_map", "refiner_no_refine"]
+
+
+@pytest.mark.parametrize("archetype, dims", VARIANTS, ids=VARIANT_IDS)
+class TestLazyDraws:
+    @pytest.mark.parametrize("first", STAGES)
+    def test_lazy_draws_keep_their_bits(self, archetype, dims, first):
+        m = zoo.build_model(archetype, seed=7, dims=dims)
+        assert drawn_stages(m) == set()
+        getattr(m, first)
+        # the encoder and the generator are drawn apart; the split blocks read the generator
+        assert drawn_stages(m) == ({first} if first == "encoder_params"
+                                  else {first, "generator_params"})
+        enc_plan, gen_plan = zoo.layer_plan(archetype, dims)[:2]
+        assert same_parameters(m.encoder_params, zoo.init_parameters([7, 0], enc_plan))
+        assert same_parameters(m.generator_params, zoo.init_parameters([7, 1], gen_plan))
+        mixed = m.generator_params["refine.w" if archetype == "refiner" else "gen1.w"].data
+        w_z, w_c = m.split_weights
+        assert w_z.shape[1] == int(np.prod(m.latent_shape))
+        assert np.array_equal(np.concatenate([w_z.data, w_c.data], axis=1), mixed)
+        assert np.shares_memory(w_z.data, mixed) and np.shares_memory(w_c.data, mixed)
+
+    def test_parameter_ratio_draws_nothing(self, archetype, dims):
+        m = zoo.build_model(archetype, seed=7, dims=dims)
+        ratio = m.parameter_ratio
+        assert drawn_stages(m) == set()
+        assert ratio == m.generator_params.count / m.encoder_params.count
+
+    def test_encoding_draws_no_generator(self, archetype, dims):
+        m = zoo.build_model(archetype, seed=7, dims=dims)
+        m.encode(source_image(1, dims.image_shape))
+        assert drawn_stages(m) == {"encoder_params"}
 
 
 class TestGradientFlow:
