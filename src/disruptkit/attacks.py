@@ -81,11 +81,19 @@ class AttackState:
 
 
 def _project(x: np.ndarray, eta: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(X + eta, eta) with eta clipped to +/-eps and X + eta settled into [0,1]."""
-    eta = np.clip(eta, -eps, eps)
+    """(X + eta, eta) with eta clipped to +/-eps and X + eta settled into [0,1].
+
+    ``eta`` is a fresh array, projected in place. The clip is np.clip's
+    max-then-min, without np.clip's Python dispatch.
+    """
+    np.maximum(eta, -eps, out=eta)
+    np.minimum(eta, eps, out=eta)
     x_t = x + eta
-    eta = np.where(x_t < 0.0, -x, np.where(x_t > 1.0, 1.0 - x, eta))
-    return x + eta, eta
+    # the masks are disjoint, so the order of the two writes is free
+    np.negative(x, out=eta, where=x_t < 0.0)
+    np.subtract(1.0, x, out=eta, where=x_t > 1.0)
+    np.add(x, eta, out=x_t)
+    return x_t, eta
 
 
 def _random_start(config: AttackConfig, shape: tuple[int, ...]) -> np.ndarray:
@@ -125,7 +133,7 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
             raise ConfigError("init_eta cannot be combined with random_init")
         if init_eta.shape != X.shape:
             raise ShapeError(f"init_eta shape {init_eta.shape} != source shape {X.shape}")
-    start = (init_eta.data if init_eta is not None
+    start = (np.array(init_eta.data) if init_eta is not None
              else _random_start(config, X.shape) if config.random_init
              else np.zeros(X.shape))
     x_t, eta = _project(x_arr, start, eps)
@@ -134,10 +142,14 @@ def run_attack(objective_grad: GradientProvider, X: Tensor, config: AttackConfig
         g = objective_grad(Tensor._wrap(x_t))
         if g.shape != X.shape:
             raise ShapeError(f"gradient provider returned shape {g.shape}, expected {X.shape}")
-        x_t, eta = _project(x_arr, eta + config.step_a * np.sign(g.data), eps)
-        # ndarray.min/max/all rather than np.* wrappers: same tests (NaN fails
-        # each), a fraction of the per-iteration cost
-        if not np.abs(eta).max() <= eps:
+        # eta + a * sign(g) in one fresh array: + and * commute bitwise
+        step = np.sign(g.data)
+        step *= config.step_a
+        step += eta
+        x_t, eta = _project(x_arr, step, eps)
+        # ndarray.min/max/all rather than np.* wrappers, and no |eta| array: the
+        # same tests (NaN fails each), a fraction of the per-iteration cost
+        if not (eta.max() <= eps and eta.min() >= -eps):
             raise InvariantError(
                 f"iteration {t}: max |eta| = {np.abs(eta).max()} exceeds epsilon {eps}")
         if not (x_t.min() >= 0.0 and x_t.max() <= 1.0):
@@ -154,29 +166,60 @@ def build_gradient_provider(models: Sequence[TwoStageModel], objective: Objectiv
     """Bind objective references to X and wire per-model gradients into the ensemble.
 
     Clean references (latents or outputs) are frozen here, once, before any
-    iteration. Each call then runs one fresh tape per model, backpropagates
-    the sum of that model's per-image losses once, and aggregates. A
-    non-finite loss or gradient raises InvariantError naming the model and
-    the image row (in row-major order over X's stack axes; 0 for one image).
+    iteration. Each call then takes each model's per-image losses and the
+    gradient of their sum (see _model_gradient) and aggregates. A non-finite
+    loss or gradient raises InvariantError naming the model and the image row
+    (in row-major order over X's stack axes; 0 for one image).
     """
     if not models:
         raise ConfigError("gradient provider needs at least one model")
-    bound = [(i, model, objective.bind(model, X)) for i, model in enumerate(models)]
+    bound = [(i, model, _model_gradient(model, objective.bind(model, X)))
+             for i, model in enumerate(models)]
 
     def provider(x_t: Tensor) -> Tensor:
         per_model = []
-        for model_id, model, loss_fn in bound:
-            tape = Tape()
-            tape.watch(x_t)
-            with ad.recording(tape):
-                losses = loss_fn(x_t)
-            gradient = ad.backward(losses, x_t)
-            _check_finite(model, losses.data, gradient.data)
+        for model_id, model, gradient_of in bound:
+            losses, gradient = gradient_of(x_t)
+            _check_finite(model, losses, gradient.data)
             per_model.append(PerModelGradient(
-                model_id=model_id, loss_value=losses.data, gradient=gradient))
+                model_id=model_id, loss_value=losses, gradient=gradient))
         return aggregate(strategy, per_model)
 
     return provider
+
+
+def _model_gradient(model: TwoStageModel,
+                    loss_fn: Callable[[Tensor], Tensor]) -> Callable[[Tensor], tuple]:
+    """x_t -> (per-image losses, gradient of their sum) for one model's bound loss.
+
+    The first call records the loss on a tape and differentiates it with
+    ``backward``, then compiles the tape and drops it. Every later call runs
+    the compiled program on ``x_t``'s array, so the loss's untracked terms
+    (the conditioning term, the swapper's target features) are computed once
+    per attack, and adds to the model's counters the encode/generate calls
+    that the recording made.
+    """
+    program, calls = None, (0, 0)
+
+    def gradient_of(x_t: Tensor) -> tuple[np.ndarray, Tensor]:
+        nonlocal program, calls
+        counters = model.counters
+        if program is not None:
+            counters.encode_calls += calls[0]
+            counters.generate_calls += calls[1]
+            losses, gradient = program(x_t.data)
+            return losses, Tensor._wrap(gradient)
+        before = (counters.encode_calls, counters.generate_calls)
+        tape = Tape()
+        tape.watch(x_t)
+        with ad.recording(tape):
+            losses = loss_fn(x_t)
+        gradient = ad.backward(losses, x_t)
+        program = ad.compile(losses, x_t)
+        calls = (counters.encode_calls - before[0], counters.generate_calls - before[1])
+        return losses.data, gradient
+
+    return gradient_of
 
 
 def _check_finite(model: TwoStageModel, losses: np.ndarray, gradient: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Dense float64 tensors and a minimal reverse-mode differentiation tape.
+"""Dense float64 tensors, a minimal reverse-mode differentiation tape, and compiled programs.
 
 The primitive set is the closure needed by the toy two-stage models and the
 disruption losses: a layer ``act(W x + b)`` as one op (``forward_affine``
@@ -11,6 +11,10 @@ VJPs sum each gradient back to its input's shape), so a term computed once
 serves an input that was never fanned out. Everything runs in 64-bit floats
 so gradients can be validated tightly against central finite differences.
 
+Each primitive is an op and a kernel. The kernel, ``kernel(*arrays) ->
+(output, vjp)``, holds the arithmetic; the op checks its input tensors,
+calls the kernel once and records it on the active tape.
+
 Recording is opt-in: ops consult the active tape and compute plainly when none
 is active (used for frozen reference values). A tape tracks only the tensors it
 watches and the outputs of ops it recorded; an op with no tracked input is not
@@ -20,15 +24,24 @@ raises LineageError rather than return a zero gradient. A backward pass always
 differentiates the sum of the loss's elements, so one pass over a stack's
 per-image losses gives each image its own gradient. A tape is never mutated
 by a backward pass, so it can be differentiated repeatedly.
+
+``compile(loss, wrt)`` turns a recorded loss into a program: the tape's
+recorded kernels, with every untracked input (weights, frozen references,
+terms computed off the tape) held as a constant that was computed once, when
+the loss was recorded. A program called on a new input of the recorded shape
+calls the same kernels in the same order and walks the same reverse pass as
+``backward``, so it returns the bits that recording and differentiating the
+loss there would, without a tape, shape checks or recomputed constants.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,49 +118,54 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-class _Record:
-    """One recorded op: ``op`` names it, ``needs[i]`` says whether input i is tracked.
+class _Record(NamedTuple):
+    """One op recorded on a tape: its kernel, the tensors it read and wrote, and its VJP.
 
-    ``vjp_fn(output gradient, needs)`` returns per-input gradients; those not
-    needed are ignored, so a VJP may skip computing them.
+    ``slots[i]`` is the tape slot of input i, or None when that input is not
+    tracked, and ``needs[i]`` says whether it is tracked; ``out`` is the
+    output's slot. ``vjp(output gradient, needs)`` returns per-input
+    gradients; those not needed are ignored, so a VJP may skip computing them.
     """
 
-    __slots__ = ("op", "inputs", "needs", "output", "vjp_fn")
-
-    def __init__(self, op: str, inputs: tuple[Tensor, ...], needs: tuple[bool, ...],
-                 output: Tensor,
-                 vjp_fn: Callable[[np.ndarray, tuple[bool, ...]], tuple[np.ndarray | None, ...]]):
-        self.op, self.inputs, self.needs, self.output, self.vjp_fn = op, inputs, needs, output, vjp_fn
+    op: str
+    kernel: Callable
+    inputs: tuple[Tensor, ...]
+    slots: tuple[int | None, ...]
+    needs: tuple[bool, ...]
+    output: Tensor
+    out: int
+    vjp: Callable
 
 
 class Tape:
     """Ordered record of primitive operations, in topological (creation) order.
 
-    Backward passes accumulate gradients into a scratch dict keyed by tensor
-    identity; the tape itself is never modified, so repeated calls on the
-    same tape return identical gradients.
+    Each tracked tensor (a watched leaf or a recorded output) has a slot: its
+    index in the order it became tracked. Backward passes accumulate gradients
+    into a scratch list indexed by slot; the tape itself is never modified, so
+    repeated calls on the same tape return identical gradients.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._known: set[int] = set()
+        self._slots: dict[int, int] = {}  # id(tracked tensor) -> slot
         self._watched: list[Tensor] = []
         self._ref = weakref.ref(self)
 
     def watch(self, t: Tensor) -> Tensor:
         """Register a leaf tensor so it can be differentiated against."""
-        self._known.add(id(t))
+        self._slots.setdefault(id(t), len(self._slots))
         self._watched.append(t)
         return t
 
-    def _record(self, op, inputs, output, vjp_fn):
+    def _record(self, op, kernel, inputs, output, vjp):
         # every tracked tensor is held by _watched or a record, so ids stay unique
-        known = self._known
-        needs = tuple([id(t) in known for t in inputs])
+        slots = tuple([self._slots.get(id(t)) for t in inputs])
+        needs = tuple([s is not None for s in slots])
         if True not in needs:
             return
-        self._records.append(_Record(op, inputs, needs, output, vjp_fn))
-        self._known.add(id(output))
+        out = self._slots[id(output)] = len(self._slots)
+        self._records.append(_Record(op, kernel, inputs, slots, needs, output, out, vjp))
         output._tape_ref = self._ref
 
 
@@ -173,16 +191,24 @@ def stop_recording():
         _STACK.pop()
 
 
-def _emit(op, inputs, out_arr, vjp_fn) -> Tensor:
+def _apply(op: str, kernel: Callable, inputs: tuple[Tensor, ...]) -> Tensor:
+    """Call ``kernel`` on the inputs' arrays once; record it on the active tape, if any."""
+    out_arr, vjp = kernel(*[t._data for t in inputs])
     out = Tensor._wrap(out_arr)
     tape = _STACK[-1] if _STACK else None
     if tape is not None:
-        tape._record(op, inputs, out, vjp_fn)
+        tape._record(op, kernel, inputs, out, vjp)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Differentiable primitives
+#
+# Each primitive is a public op, which checks its input tensors, and a kernel
+# ``kernel(*arrays) -> (output, vjp)``, which holds its arithmetic. An op's
+# static arguments (an activation kind, a shape, an axis) are bound into its
+# kernel with functools.partial, so a recorded kernel can be called again on
+# new arrays of the recorded shapes (see compile).
 # ---------------------------------------------------------------------------
 
 
@@ -207,9 +233,15 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
         )
     if act is not None:
         _check_kind(act)
+    return _apply("affine" if act is None else f"affine_{act}", _AFFINE[act],
+                  (input, weights, bias))
+
+
+def _affine_kernel(act: str | None, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     n_out, n_in = w.shape
     x_shape = x.shape
-    y = (x.reshape(-1, n_in) @ w.T).reshape(x_shape[:-1] + (n_out,))
+    # one gemm over all leading axes; a 2-D input is that matrix already
+    y = x @ w.T if x.ndim == 2 else (x.reshape(-1, n_in) @ w.T).reshape(x_shape[:-1] + (n_out,))
     if b.ndim == 1:
         y += b
     else:
@@ -217,29 +249,37 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
             y = y + b
         except ValueError:
             raise ShapeError(
-                f"affine bias shape {bias.shape} does not broadcast against input {input.shape}"
+                f"affine bias shape {b.shape} does not broadcast against input {x_shape}"
             ) from None
     _activate(y, act)
-    op = "affine" if act is None else f"affine_{act}"
 
     def vjp(g, needs):
         if needs[1] or needs[2]:
+            op = "affine" if act is None else f"affine_{act}"
             raise LineageError(f"{op}: weights and bias (a computed bias too) are constants")
         g = _sum_to(_activation_vjp(g, y, act), x_shape[:-1] + (n_out,))
-        return (g.reshape(-1, n_out) @ w).reshape(x_shape), None, None
+        return (g @ w if g.ndim == 2 else (g.reshape(-1, n_out) @ w).reshape(x_shape)), None, None
 
-    return _emit(op, (input, weights, bias), y, vjp)
+    return y, vjp
 
 
 def activation(input: Tensor, kind: str) -> Tensor:
     """Elementwise tanh / sigmoid (the sigmoid stays finite for any input)."""
     _check_kind(kind)
-    y = _activate(np.array(input.data), kind)
+    return _apply(kind, _ACTIVATION[kind], (input,))
+
+
+def _activation_kernel(kind: str, x: np.ndarray):
+    y = _activate(np.array(x), kind)
 
     def vjp(g, needs):
         return (_activation_vjp(g, y, kind),)
 
-    return _emit(kind, (input,), y, vjp)
+    return y, vjp
+
+
+_AFFINE = {act: functools.partial(_affine_kernel, act) for act in (None, *ACTIVATION_KINDS)}
+_ACTIVATION = {kind: functools.partial(_activation_kernel, kind) for kind in ACTIVATION_KINDS}
 
 
 def _check_kind(kind: str) -> None:
@@ -290,26 +330,32 @@ def reshape(input: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if math.prod(shape) != input.size:
         raise ShapeError(f"cannot reshape {input.shape} to {shape}")
-    old_shape = input.shape
+    return _apply("reshape", functools.partial(_reshape_kernel, shape), (input,))
+
+
+def _reshape_kernel(shape: tuple[int, ...], x: np.ndarray):
+    old_shape = x.shape
 
     def vjp(g, needs):
         return (g.reshape(old_shape),)
 
-    return _emit("reshape", (input,), input.data.reshape(shape), vjp)
+    return x.reshape(shape), vjp
 
 
 def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concatenate needs at least one tensor")
-    arrs = [p.data for p in parts]
+    return _apply("concat", functools.partial(_concat_kernel, axis), tuple(parts))
+
+
+def _concat_kernel(axis: int, *arrs: np.ndarray):
     y = np.concatenate(arrs, axis=axis)
-    sizes = [a.shape[axis] for a in arrs]
-    offsets = np.cumsum(sizes)[:-1]
+    offsets = np.cumsum([a.shape[axis] for a in arrs])[:-1]
 
     def vjp(g, needs):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _emit("concat", tuple(parts), y, vjp)
+    return y, vjp
 
 
 def _trailing(shape: tuple[int, ...], axes: int | None) -> tuple[tuple[int, ...], int]:
@@ -326,8 +372,12 @@ def mean(input: Tensor, axes: int | None = None) -> Tensor:
     The result keeps the leading axes, so with ``axes=None`` it is a scalar
     (shape ``()``) tensor and otherwise one mean per leading index.
     """
-    shape = input.shape
-    reduced, n = _trailing(shape, axes)
+    reduced, n = _trailing(input.shape, axes)
+    return _apply("mean", functools.partial(_mean_kernel, reduced, n), (input,))
+
+
+def _mean_kernel(reduced: tuple[int, ...], n: int, x: np.ndarray):
+    shape = x.shape
 
     def vjp(g, needs):
         out = np.empty(shape)
@@ -335,25 +385,33 @@ def mean(input: Tensor, axes: int | None = None) -> Tensor:
         return (out,)
 
     # the same bits as np.mean, without its per-call overhead
-    return _emit("mean", (input,), input.data.sum(axis=reduced) / n, vjp)
+    return x.sum(axis=reduced) / n, vjp
 
 
 def squared_difference(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"squared_difference shapes differ: {a.shape} vs {b.shape}")
-    d = a.data - b.data
+    return _apply("sqdiff", _sqdiff_kernel, (a, b))
 
-    def vjp(g, needs, d=d):
+
+def _sqdiff_kernel(a: np.ndarray, b: np.ndarray):
+    d = a - b
+
+    def vjp(g, needs):
         gd = 2.0 * d * g
         return gd, (-gd if needs[1] else None)
 
-    return _emit("sqdiff", (a, b), d * d, vjp)
+    return d * d, vjp
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """``a + b`` with numpy broadcasting; each gradient is summed back to its input's shape."""
+    return _apply("add", _add_kernel, (a, b))
+
+
+def _add_kernel(a: np.ndarray, b: np.ndarray):
     try:
-        y = a.data + b.data
+        y = a + b
     except ValueError:
         raise ShapeError(f"add shapes do not broadcast: {a.shape} vs {b.shape}") from None
     a_shape, b_shape = a.shape, b.shape
@@ -361,16 +419,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g, needs):
         return _sum_to(g, a_shape), _sum_to(g, b_shape)
 
-    return _emit("add", (a, b), y, vjp)
+    return y, vjp
 
 
 def scale(input: Tensor, factor: float) -> Tensor:
-    c = float(factor)
+    return _apply("scale", functools.partial(_scale_kernel, float(factor)), (input,))
 
+
+def _scale_kernel(c: float, x: np.ndarray):
     def vjp(g, needs):
         return (c * g,)
 
-    return _emit("scale", (input,), c * input.data, vjp)
+    return c * x, vjp
 
 
 def mse_loss(a: Tensor, b: Tensor, axes: int | None = None) -> Tensor:
@@ -381,14 +441,57 @@ def mse_loss(a: Tensor, b: Tensor, axes: int | None = None) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mse_loss shapes differ: {a.shape} vs {b.shape}")
     reduced, n = _trailing(a.shape, axes)
-    d = a.data - b.data
+    return _apply("mse", functools.partial(_mse_kernel, reduced, n), (a, b))
+
+
+def _mse_kernel(reduced: tuple[int, ...], n: int, a: np.ndarray, b: np.ndarray):
+    d = a - b
 
     def vjp(g, needs):
         gd = 2.0 * d
         gd *= (g / n).reshape(g.shape + (1,) * len(reduced))
         return gd, (-gd if needs[1] else None)
 
-    return _emit("mse", (a, b), (d * d).sum(axis=reduced) / n, vjp)
+    return (d * d).sum(axis=reduced) / n, vjp
+
+
+# ---------------------------------------------------------------------------
+# Differentiation: backward on a tape, and compiled programs
+# ---------------------------------------------------------------------------
+
+
+def _tape_of(loss: Tensor, wrt: Tensor) -> Tape:
+    """The live tape that recorded ``loss`` and tracks ``wrt``."""
+    tape = loss._tape
+    if tape is None:
+        raise LineageError("loss tensor was not produced under a live tape")
+    if id(wrt) not in tape._slots:
+        raise LineageError("requested tensor was never recorded on this tape")
+    if id(loss) not in tape._slots:
+        raise LineageError("loss tensor was never recorded on this tape")
+    return tape
+
+
+def _backprop(steps: Sequence, vjps: Sequence[Callable], n_slots: int, loss: np.ndarray,
+              loss_slot: int, wrt_slot: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of ``loss``'s element sum at ``wrt_slot``, reshaped to ``shape``.
+
+    The one reverse walk, shared by ``backward`` and compiled programs:
+    ``steps`` (records or program steps) and their ``vjps`` are in creation
+    order, and gradients accumulate in one list indexed by slot.
+    """
+    grads: list[np.ndarray | None] = [None] * n_slots
+    grads[loss_slot] = np.ones(loss.shape, dtype=np.float64)
+    for step, vjp in zip(reversed(steps), reversed(vjps)):
+        g_out = grads[step.out]
+        if g_out is None:
+            continue
+        for slot, g in zip(step.slots, vjp(g_out, step.needs)):
+            if slot is not None:
+                acc = grads[slot]
+                grads[slot] = g if acc is None else acc + g
+    g = grads[wrt_slot]
+    return np.zeros(shape) if g is None else g.reshape(shape)
 
 
 def backward(loss: Tensor, wrt: Tensor) -> Tensor:
@@ -401,24 +504,66 @@ def backward(loss: Tensor, wrt: Tensor) -> Tensor:
     against other tensors). The caller keeps the tape alive: a tensor refers
     to its tape only weakly.
     """
-    tape = loss._tape
-    if tape is None:
-        raise LineageError("loss tensor was not produced under a live tape")
-    if id(wrt) not in tape._known:
-        raise LineageError("requested tensor was never recorded on this tape")
-    if id(loss) not in tape._known:
-        raise LineageError("loss tensor was never recorded on this tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=np.float64)}
-    for rec in reversed(tape._records):
-        g_out = grads.get(id(rec.output))
-        if g_out is None:
-            continue
-        for t, needed, g in zip(rec.inputs, rec.needs, rec.vjp_fn(g_out, rec.needs)):
-            if needed:
-                acc = grads.get(id(t))
-                grads[id(t)] = g if acc is None else acc + g
-    g = grads.get(id(wrt))
-    return Tensor._wrap(np.zeros(wrt.shape) if g is None else g.reshape(wrt.shape))
+    tape = _tape_of(loss, wrt)
+    records = tape._records
+    return Tensor._wrap(_backprop(records, [rec.vjp for rec in records], len(tape._slots),
+                                  loss.data, tape._slots[id(loss)], tape._slots[id(wrt)],
+                                  wrt.shape))
+
+
+class _Step(NamedTuple):
+    """One kernel call of a program: input i is ``consts[i]``, or the value in ``slots[i]``."""
+
+    kernel: Callable
+    slots: tuple[int | None, ...]
+    needs: tuple[bool, ...]
+    consts: tuple[np.ndarray | None, ...]
+    out: int
+
+
+def compile(loss: Tensor, wrt: Tensor) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The recorded computation of ``loss`` as a program: ``x -> (loss, gradient)``.
+
+    Each record of the tape becomes a step, in order. A record's input is a
+    program value if it is ``wrt`` or a record's output; every other input
+    is a constant whose array the program holds: a layer's weights, a frozen
+    reference, a term computed off the tape (say, a conditioning term), or
+    another watched tensor. Such constants are computed once, when the loss
+    is recorded. The program holds no recorded intermediate and no tape, so
+    the tape can be dropped once compiled.
+
+    A call runs each step's kernel on ``x`` (dense float64, as a Tensor's
+    data is, with ``wrt``'s shape) and the constants, then walks the same
+    reverse pass as ``backward``. So it returns the bits that recording the
+    loss at ``x`` and differentiating it would. Each step keeps its record's
+    ``needs``, so a tracked layer parameter raises LineageError on a call as
+    it does in ``backward``.
+    """
+    tape = _tape_of(loss, wrt)
+    wrt_slot, loss_slot, n_slots, shape = (
+        tape._slots[id(wrt)], tape._slots[id(loss)], len(tape._slots), wrt.shape)
+    values = {wrt_slot, *[rec.out for rec in tape._records]}
+    steps = []
+    for rec in tape._records:
+        slots = tuple([s if s in values else None for s in rec.slots])
+        consts = tuple([t._data if s is None else None for s, t in zip(slots, rec.inputs)])
+        steps.append(_Step(rec.kernel, slots, rec.needs, consts, rec.out))
+
+    def program(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if x.shape != shape:
+            raise ShapeError(f"program input shape {x.shape} != recorded shape {shape}")
+        values: list[np.ndarray | None] = [None] * n_slots
+        values[wrt_slot] = x
+        vjps = []
+        for kernel, slots, _, consts, out_slot in steps:
+            out, vjp = kernel(*[c if s is None else values[s] for s, c in zip(slots, consts)])
+            # dense, as Tensor._wrap makes it, so each kernel sees its recorded layout
+            values[out_slot] = out if out.flags.c_contiguous else np.ascontiguousarray(out)
+            vjps.append(vjp)
+        loss_value = values[loss_slot]
+        return loss_value, _backprop(steps, vjps, n_slots, loss_value, loss_slot, wrt_slot, shape)
+
+    return program
 
 
 # ---------------------------------------------------------------------------

@@ -280,13 +280,10 @@ class AttributeSet:
     unknown: tuple[Tensor, ...]
 
     def __post_init__(self):
-        everything = list(self.known) + list(self.unknown)
-        for i in range(len(everything)):
-            for j in range(i + 1, len(everything)):
-                if everything[i].shape == everything[j].shape and np.array_equal(
-                    everything[i].data, everything[j].data
-                ):
-                    raise ConfigError("attribute pools must be pairwise distinct")
+        everything = (*self.known, *self.unknown)
+        # one key per value: equal shapes and bytes, with -0.0 folded into 0.0 by + 0.0
+        if len({(t.shape, (t.data + 0.0).tobytes()) for t in everything}) < len(everything):
+            raise ConfigError("attribute pools must be pairwise distinct")
 
 
 def sample_attribute(model: TwoStageModel, rng: np.random.Generator) -> Tensor:

@@ -358,9 +358,10 @@ class TestGradientProvider:
         with pytest.raises(ConfigError):
             build_gradient_provider([], LatentAttackObjective(), NORMALIZED, source(0))
 
-    # taped records per model in one provider call, for (leat, image_attack):
+    # taped records per model in a provider's first call, for (leat, image_attack):
     # each layer act(W x + b) and the loss are one op each, and the
-    # conditioning term, computed from untracked attributes, is on no tape
+    # conditioning term, computed from untracked attributes, is on no tape.
+    # Later calls replay the compiled records and record nothing.
     OPS_PER_CALL = {"vec_conditional": (4, 8), "refiner": (4, 16),
                     "swapper": (4, 8), "reenactor": (5, 10)}
 
@@ -381,11 +382,29 @@ class TestGradientProvider:
         counts = []
         for objective in objectives:
             tapes.clear()
-            build_gradient_provider([model], objective, NORMALIZED, X)(X)
+            provider = build_gradient_provider([model], objective, NORMALIZED, X)
+            provider(X)
+            provider(Tensor(0.5 * X.data))
             assert len(tapes) == 1
             counts.append(len(recorded(tapes[0])))
         kinds = [sorted(rec.op for rec in recorded(t)) for t in tapes]
         assert tuple(counts) == self.OPS_PER_CALL[archetype], kinds
+
+    @pytest.mark.parametrize("method", ["leat", "image_attack"])
+    @pytest.mark.parametrize("archetype", zoo.ARCHETYPES)
+    def test_replayed_calls_match_a_fresh_provider(self, archetype, method):
+        # a provider records on its first call and replays after: each later
+        # call returns the bits a provider built for that point returns first
+        models = [zoo.build_model(archetype, seed=s) for s in (16, 17)]
+        X = stack_of([source(s) for s in range(3)])
+        objective = (LatentAttackObjective() if method == "leat" else ImageAttackObjective(
+            {m.name: zoo.sample_attribute_set(m, 3, 0, [18, j]).known
+             for j, m in enumerate(models)}))
+        provider = build_gradient_provider(models, objective, NORMALIZED, X)
+        for scale in (1.0, 0.9, 0.7):
+            x_t = Tensor(scale * X.data)
+            fresh = build_gradient_provider(models, objective, NORMALIZED, X)(x_t)
+            assert np.array_equal(provider(x_t).data, fresh.data)
 
 
 def stack_of(images):

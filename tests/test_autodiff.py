@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from disruptkit import autodiff as ad
+from disruptkit import zoo
+from disruptkit.dataset import generate_dataset
 from disruptkit.errors import LineageError, ShapeError
+from disruptkit.objectives import ImageAttackObjective, LatentAttackObjective
 
 from support import recorded, rel_err
 
@@ -487,6 +490,137 @@ class TestStopRecording:
         # ref is a frozen constant, so d/dx mean((x - ref)^2) = 2(x - ref)/n
         want = 2.0 * (x.data - ref.data) / 2.0
         assert np.max(np.abs(g.data - want)) < 1e-12
+
+
+def record(loss_fn, x0):
+    """(tape, watched x, loss) of ``loss_fn`` recorded at the values of ``x0``."""
+    tape = ad.Tape()
+    x = tape.watch(ad.Tensor(x0.data))
+    with ad.recording(tape):
+        loss = loss_fn(x)
+    return tape, x, loss
+
+
+def eager(loss_fn, x0):
+    """The loss of ``loss_fn`` at ``x0`` and its gradient, recorded and differentiated afresh."""
+    _, x, loss = record(loss_fn, x0)
+    return loss.data, ad.backward(loss, x).data
+
+
+class TestProgram:
+    """compile turns a recorded loss into a program that replays it on new inputs."""
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["one_image", "stack"])
+    @pytest.mark.parametrize("method", ["leat", "image_attack"])
+    @pytest.mark.parametrize("archetype", zoo.ARCHETYPES)
+    def test_bitwise_equal_to_record_and_backward(self, archetype, method, stack):
+        model = zoo.build_model(archetype, seed=61)
+        images = generate_dataset(seed=62, count=3, shape=(8, 8, 1)).images
+        X = images if stack else images[0]
+        objective = (LatentAttackObjective() if method == "leat" else ImageAttackObjective(
+            {model.name: zoo.sample_attribute_set(model, 3, 0, [63]).known}))
+        loss_fn = objective.bind(model, X)
+        rng = np.random.default_rng(64)
+        points = [ad.Tensor(np.clip(X.data + rng.uniform(-0.05, 0.05, X.shape), 0.0, 1.0))
+                  for _ in range(3)]
+        _, x, loss = record(loss_fn, points[0])
+        program = ad.compile(loss, x)
+        for point in points:
+            want_loss, want_grad = eager(loss_fn, point)
+            got_loss, got_grad = program(point.data)
+            assert got_loss.shape == want_loss.shape == X.shape[:-3]
+            assert np.array_equal(got_loss, want_loss)
+            assert got_grad.shape == X.shape
+            assert np.array_equal(got_grad, want_grad)
+
+    def test_wrong_shape_rejected(self):
+        w = ad.Tensor(np.ones((2, 3)))
+        _, x, loss = record(lambda v: ad.mse_loss(
+            ad.forward_affine(v, w, ad.Tensor(np.zeros(2))), ad.Tensor(np.zeros((4, 2)))),
+            ad.Tensor(np.zeros((4, 3))))
+        program = ad.compile(loss, x)
+        for shape in ((5, 3), (3,), (4, 3, 1)):
+            with pytest.raises(ShapeError):
+                program(np.zeros(shape))
+
+    @pytest.mark.parametrize("source", ["watched", "from_input"])
+    def test_tracked_weight_raises(self, source):
+        rng = np.random.default_rng(65)
+        x0, w0, b = (ad.Tensor(rng.normal(size=s)) for s in ((6,), (3, 2), (3,)))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            x = tape.watch(x0)
+            # a watched weight, or one computed from the input itself
+            w = tape.watch(w0) if source == "watched" else ad.reshape(x, (3, 2))
+            loss = ad.mse_loss(ad.forward_affine(ad.Tensor([1.0, 2.0]), w, b),
+                               ad.Tensor(np.zeros(3)))
+            loss = ad.add(loss, ad.mse_loss(x, ad.Tensor(np.zeros(6))))
+        with pytest.raises(LineageError, match="affine"):
+            ad.backward(loss, x)
+        program = ad.compile(loss, x)
+        with pytest.raises(LineageError, match="affine"):
+            program(x0.data)
+
+    def test_keeps_no_tape_and_constants_once(self):
+        # the off-tape term enters as a constant; the tape can go once compiled
+        rng = np.random.default_rng(66)
+        w, c = ad.Tensor(rng.normal(size=(3, 4))), ad.Tensor(rng.normal(size=3))
+        target = ad.Tensor(rng.normal(size=(2, 3)))
+
+        def loss_fn(v):
+            bias = ad.activation(c, "tanh")  # no tracked input: computed once, when recorded
+            return ad.mse_loss(ad.forward_affine(v, w, bias, "tanh"), target, 1)
+
+        x0 = ad.Tensor(rng.normal(size=(2, 4)))
+        tape, x, loss = record(loss_fn, x0)
+        program = ad.compile(loss, x)
+        alive = weakref.ref(tape)
+        gc.disable()
+        try:
+            del tape, x, loss
+            assert alive() is None
+        finally:
+            gc.enable()
+        x1 = ad.Tensor(rng.normal(size=(2, 4)))
+        for got, want in zip(program(x1.data), eager(loss_fn, x1)):
+            assert np.array_equal(got, want)
+
+    def test_strided_constant_gives_the_recorded_bits(self):
+        # x + a column-major constant is column-major; like Tensor._wrap, the
+        # program makes it dense before the next kernel reads it
+        rng = np.random.default_rng(67)
+        const = ad.Tensor._wrap(np.asfortranarray(rng.normal(size=(3, 4))), dense=False)
+        w, b = ad.Tensor(rng.normal(size=(2, 4))), ad.Tensor(np.zeros(2))
+
+        def loss_fn(v):
+            h = ad.forward_affine(ad.add(v, const), w, b, "tanh")
+            return ad.mse_loss(h, ad.Tensor(np.zeros((3, 2))), 1)
+
+        x0 = ad.Tensor(rng.normal(size=(3, 1)))
+        _, x, loss = record(loss_fn, x0)
+        program = ad.compile(loss, x)
+        x1 = ad.Tensor(rng.normal(size=(3, 1)))
+        for got, want in zip(program(x1.data), eager(loss_fn, x1)):
+            assert np.array_equal(got, want)
+
+    def test_loss_free_of_the_input_has_zero_gradient(self):
+        tape = ad.Tape()
+        with ad.recording(tape):
+            x, other = tape.watch(ad.Tensor([1.0, 2.0])), tape.watch(ad.Tensor([3.0, 4.0]))
+            loss = ad.mse_loss(other, ad.Tensor([0.0, 0.0]))
+        got_loss, got_grad = ad.compile(loss, x)(np.array([5.0, 6.0]))
+        assert got_loss == 12.5
+        assert np.array_equal(got_grad, np.zeros(2))
+
+    def test_needs_a_recorded_loss(self):
+        tape = ad.Tape()
+        x = tape.watch(ad.Tensor([1.0]))
+        with pytest.raises(LineageError):
+            ad.compile(ad.mse_loss(x, ad.Tensor([0.0])), x)  # recorded on no tape
+        with ad.recording(tape):
+            loss = ad.mse_loss(x, ad.Tensor([0.0]))
+        with pytest.raises(LineageError):
+            ad.compile(loss, ad.Tensor([1.0]))  # not tracked by the tape
 
 
 class TestFiniteDifference:

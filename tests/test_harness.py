@@ -86,6 +86,20 @@ def test_holdout_untouched_during_attack(report):
         assert report.attack_phase_counters[name]["encode_calls"] > 0
 
 
+def test_attack_phase_counters_count_every_evaluation():
+    # per attacked model: one encode per bound reference and per iteration of
+    # each method, one generate per image-attack reference and iteration; the
+    # provider's replayed iterations count what their recording called
+    raw = example_config()
+    raw["attack"] = {**raw["attack"], "iterations": 3}
+    counters = run_experiment(parse_config(raw)).attack_phase_counters
+    assert counters == {
+        "vec_a": {"encode_calls": 8, "generate_calls": 4},
+        "refiner_a": {"encode_calls": 8, "generate_calls": 4},
+        "held_out": {"encode_calls": 0, "generate_calls": 0},
+    }
+
+
 def test_leat_skips_generators(report):
     # both attack models were also driven by image_attack, so generate_calls
     # are nonzero overall; the leat-only check needs a single-objective run

@@ -394,3 +394,18 @@ class TestAttributeSets:
         c = Tensor([0.1, 0.2, 0.3, 0.4])
         with pytest.raises(ConfigError):
             zoo.AttributeSet(known=(c,), unknown=(Tensor(c.data.copy()),))
+
+    @pytest.mark.parametrize("pools", [
+        ((Tensor([0.0, 0.5]), Tensor([-0.0, 0.5])), ()),  # 0.0 equals -0.0
+        ((Tensor([1.0, -0.0]),), (Tensor([0.3, 0.2]), Tensor([1.0, 0.0]))),
+        ((Tensor([0.1, 0.2]), Tensor([0.3, 0.4]), Tensor([0.1, 0.2])), ()),
+    ], ids=["signed_zero", "across_pools", "within_known"])
+    def test_equal_attributes_rejected(self, pools):
+        with pytest.raises(ConfigError, match="pairwise distinct"):
+            zoo.AttributeSet(known=pools[0], unknown=pools[1])
+
+    def test_same_values_in_other_shapes_are_distinct(self):
+        flat = Tensor([0.1, 0.2, 0.3, 0.4])
+        square = Tensor(flat.data.reshape(2, 2))
+        pools = zoo.AttributeSet(known=(flat,), unknown=(square,))
+        assert len(pools.known) == len(pools.unknown) == 1
