@@ -194,10 +194,10 @@ def _model_gradient(model: TwoStageModel,
 
     The first call records the loss on a tape and differentiates it with
     ``backward``, then compiles the tape and drops it. Every later call runs
-    the compiled program on ``x_t``'s array, so the loss's untracked terms
-    (the conditioning term, the swapper's target features) are computed once
-    per attack, and adds to the model's counters the encode/generate calls
-    that the recording made.
+    the compiled program on ``x_t``'s array through ``ad.run_program``, so
+    the loss's untracked terms (the conditioning term, the swapper's target
+    features) are computed once per attack, and adds to the model's counters
+    the encode/generate calls that the recording made.
     """
     program, calls = None, (0, 0)
 
@@ -207,7 +207,7 @@ def _model_gradient(model: TwoStageModel,
         if program is not None:
             counters.encode_calls += calls[0]
             counters.generate_calls += calls[1]
-            losses, gradient = program(x_t.data)
+            losses, gradient = ad.run_program(program, x_t.data)
             return losses, Tensor._wrap(gradient)
         before = (counters.encode_calls, counters.generate_calls)
         tape = Tape()

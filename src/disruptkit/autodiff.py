@@ -28,10 +28,10 @@ by a backward pass, so it can be differentiated repeatedly.
 ``compile(loss, wrt)`` turns a recorded loss into a program: the tape's
 recorded kernels, with every untracked input (weights, frozen references,
 terms computed off the tape) held as a constant that was computed once, when
-the loss was recorded. A program called on a new input of the recorded shape
+the loss was recorded. ``run_program`` on a new input of the recorded shape
 calls the same kernels in the same order and walks the same reverse pass as
 ``backward``, so it returns the bits that recording and differentiating the
-loss there would, without a tape, shape checks or recomputed constants.
+loss there would, without a tape, op checks or recomputed constants.
 """
 
 from __future__ import annotations
@@ -240,8 +240,7 @@ def forward_affine(input: Tensor, weights: Tensor, bias: Tensor, act: str | None
 def _affine_kernel(act: str | None, x: np.ndarray, w: np.ndarray, b: np.ndarray):
     n_out, n_in = w.shape
     x_shape = x.shape
-    # one gemm over all leading axes; a 2-D input is that matrix already
-    y = x @ w.T if x.ndim == 2 else (x.reshape(-1, n_in) @ w.T).reshape(x_shape[:-1] + (n_out,))
+    y = (x.reshape(-1, n_in) @ w.T).reshape(x_shape[:-1] + (n_out,))
     if b.ndim == 1:
         y += b
     else:
@@ -258,7 +257,7 @@ def _affine_kernel(act: str | None, x: np.ndarray, w: np.ndarray, b: np.ndarray)
             op = "affine" if act is None else f"affine_{act}"
             raise LineageError(f"{op}: weights and bias (a computed bias too) are constants")
         g = _sum_to(_activation_vjp(g, y, act), x_shape[:-1] + (n_out,))
-        return (g @ w if g.ndim == 2 else (g.reshape(-1, n_out) @ w).reshape(x_shape)), None, None
+        return (g.reshape(-1, n_out) @ w).reshape(x_shape), None, None
 
     return y, vjp
 
@@ -521,49 +520,63 @@ class _Step(NamedTuple):
     out: int
 
 
-def compile(loss: Tensor, wrt: Tensor) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The recorded computation of ``loss`` as a program: ``x -> (loss, gradient)``.
+class Program(NamedTuple):
+    """A recorded loss as steps that ``run_program`` calls on a new input; see ``compile``."""
 
-    Each record of the tape becomes a step, in order. A record's input is a
-    program value if it is ``wrt`` or a record's output; every other input
-    is a constant whose array the program holds: a layer's weights, a frozen
-    reference, a term computed off the tape (say, a conditioning term), or
-    another watched tensor. Such constants are computed once, when the loss
-    is recorded. The program holds no recorded intermediate and no tape, so
-    the tape can be dropped once compiled.
+    steps: tuple[_Step, ...]
+    shape: tuple[int, ...]  # the input's recorded shape
+    wrt_slot: int
+    loss_slot: int
+    watched: tuple[np.ndarray | None, ...]  # per slot: another watched tensor's recorded array
 
-    A call runs each step's kernel on ``x`` (dense float64, as a Tensor's
-    data is, with ``wrt``'s shape) and the constants, then walks the same
-    reverse pass as ``backward``. So it returns the bits that recording the
-    loss at ``x`` and differentiating it would. Each step keeps its record's
-    ``needs``, so a tracked layer parameter raises LineageError on a call as
-    it does in ``backward``.
+
+def compile(loss: Tensor, wrt: Tensor) -> Program:
+    """The recorded computation of ``loss`` as a program of ``wrt``; see ``run_program``.
+
+    Each record of the tape becomes a step, in order. A record's untracked
+    inputs are constants whose arrays the program holds: a layer's weights,
+    a frozen reference, a term computed off the tape (say, a conditioning
+    term). A watched tensor other than ``wrt`` keeps the array it had when
+    recorded. Such constants are computed once, when the loss is recorded.
+    The program holds no recorded intermediate and no tape, so the tape can
+    be dropped once compiled.
     """
     tape = _tape_of(loss, wrt)
-    wrt_slot, loss_slot, n_slots, shape = (
-        tape._slots[id(wrt)], tape._slots[id(loss)], len(tape._slots), wrt.shape)
-    values = {wrt_slot, *[rec.out for rec in tape._records]}
-    steps = []
-    for rec in tape._records:
-        slots = tuple([s if s in values else None for s in rec.slots])
-        consts = tuple([t._data if s is None else None for s, t in zip(slots, rec.inputs)])
-        steps.append(_Step(rec.kernel, slots, rec.needs, consts, rec.out))
+    slots = tape._slots
+    watched: list[np.ndarray | None] = [None] * len(slots)
+    for t in tape._watched:
+        if t is not wrt:
+            watched[slots[id(t)]] = t._data
+    steps = tuple([_Step(rec.kernel, rec.slots, rec.needs,
+                         tuple([t._data if s is None else None
+                                for s, t in zip(rec.slots, rec.inputs)]), rec.out)
+                   for rec in tape._records])
+    return Program(steps, wrt.shape, slots[id(wrt)], slots[id(loss)], tuple(watched))
 
-    def program(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if x.shape != shape:
-            raise ShapeError(f"program input shape {x.shape} != recorded shape {shape}")
-        values: list[np.ndarray | None] = [None] * n_slots
-        values[wrt_slot] = x
-        vjps = []
-        for kernel, slots, _, consts, out_slot in steps:
-            out, vjp = kernel(*[c if s is None else values[s] for s, c in zip(slots, consts)])
-            # dense, as Tensor._wrap makes it, so each kernel sees its recorded layout
-            values[out_slot] = out if out.flags.c_contiguous else np.ascontiguousarray(out)
-            vjps.append(vjp)
-        loss_value = values[loss_slot]
-        return loss_value, _backprop(steps, vjps, n_slots, loss_value, loss_slot, wrt_slot, shape)
 
-    return program
+def run_program(program: Program, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``program``'s loss at ``x`` and the gradient of its element sum there.
+
+    Runs each step's kernel on ``x`` (dense float64, as a Tensor's data is,
+    with the recorded shape; ShapeError otherwise) and the constants, then
+    walks the same reverse pass as ``backward``. So it returns the bits that
+    recording the loss at ``x`` and differentiating it would. Each step keeps
+    its record's ``needs``, so a tracked layer parameter raises LineageError
+    here as it does in ``backward``.
+    """
+    steps, shape, wrt_slot, loss_slot, watched = program
+    if x.shape != shape:
+        raise ShapeError(f"program input shape {x.shape} != recorded shape {shape}")
+    values = list(watched)
+    values[wrt_slot] = x
+    vjps = []
+    for kernel, slots, _, consts, out_slot in steps:
+        out, vjp = kernel(*[c if s is None else values[s] for s, c in zip(slots, consts)])
+        # dense, as Tensor._wrap makes it, so each kernel sees its recorded layout
+        values[out_slot] = out if out.flags.c_contiguous else np.ascontiguousarray(out)
+        vjps.append(vjp)
+    loss_value = values[loss_slot]
+    return loss_value, _backprop(steps, vjps, len(values), loss_value, loss_slot, wrt_slot, shape)
 
 
 # ---------------------------------------------------------------------------

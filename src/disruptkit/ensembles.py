@@ -117,22 +117,13 @@ def aggregate_gradient_ensemble(per_model: Sequence[PerModelGradient]) -> Tensor
 def aggregate_normalized(per_model: Sequence[PerModelGradient]) -> Tensor:
     """Sum of per-row unit-normalized gradients; vanishing rows contribute zero."""
     rows = _check(per_model)
-    axes = tuple(range(rows, per_model[0].gradient.data.ndim))
-    total = None
+    total = np.zeros(per_model[0].gradient.shape)
     for pm in per_model:
         g = pm.gradient.data
-        norm = np.sqrt((g * g).sum(axis=axes, keepdims=True))
-        if norm.min() >= ZERO_NORM_THRESHOLD:  # no row is dead, and none is NaN
-            term = g / norm
-        else:
-            # a NaN norm is not dead, so a NaN gradient still poisons the sum
-            term = np.divide(g, norm, out=np.zeros_like(g), where=~(norm < ZERO_NORM_THRESHOLD))
-        # the sum starts from the first term, not zeros: only a -0.0 keeps its sign,
-        # and the attack's np.sign maps it to +0.0 as it does +0.0
-        if total is None:
-            total = term
-        else:
-            total += term
+        norm = np.sqrt((g * g).sum(axis=tuple(range(rows, g.ndim)), keepdims=True))
+        dead = norm < ZERO_NORM_THRESHOLD
+        # a NaN norm is not dead, so a NaN gradient still poisons the sum
+        total += np.divide(g, norm, out=np.zeros_like(g), where=~dead) if dead.any() else g / norm
     return Tensor._wrap(total)
 
 

@@ -4,6 +4,9 @@ The single-step (FGSM) attack is run_attack with one iteration; its tests
 drive that path through ``one_step``.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,7 +364,7 @@ class TestGradientProvider:
     # taped records per model in a provider's first call, for (leat, image_attack):
     # each layer act(W x + b) and the loss are one op each, and the
     # conditioning term, computed from untracked attributes, is on no tape.
-    # Later calls replay the compiled records and record nothing.
+    # Later calls run the compiled records and record nothing.
     OPS_PER_CALL = {"vec_conditional": (4, 8), "refiner": (4, 16),
                     "swapper": (4, 8), "reenactor": (5, 10)}
 
@@ -405,6 +408,30 @@ class TestGradientProvider:
             x_t = Tensor(scale * X.data)
             fresh = build_gradient_provider(models, objective, NORMALIZED, X)(x_t)
             assert np.array_equal(provider(x_t).data, fresh.data)
+
+    def test_compiles_once_and_keeps_no_tape(self, monkeypatch):
+        # the first call compiles its tape and drops it, so no recorded
+        # intermediate outlives that call; later calls compile nothing more
+        tapes, compiled = [], []
+
+        class WatchedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        compile_ = ad.compile
+        monkeypatch.setattr(attacks, "Tape", WatchedTape)
+        monkeypatch.setattr(ad, "compile", lambda *args: compiled.append(1) or compile_(*args))
+        model = zoo.build_model("swapper", seed=19)
+        X = stack_of([source(s) for s in range(2)])
+        provider = build_gradient_provider([model], LatentAttackObjective(), NORMALIZED, X)
+        gc.disable()
+        try:
+            for scale in (1.0, 0.9, 0.8):
+                provider(Tensor(scale * X.data))
+                assert len(tapes) == 1 and tapes[0]() is None and compiled == [1]
+        finally:
+            gc.enable()
 
 
 def stack_of(images):

@@ -508,7 +508,7 @@ def eager(loss_fn, x0):
 
 
 class TestProgram:
-    """compile turns a recorded loss into a program that replays it on new inputs."""
+    """compile turns a recorded loss into a program that run_program replays on new inputs."""
 
     @pytest.mark.parametrize("stack", [False, True], ids=["one_image", "stack"])
     @pytest.mark.parametrize("method", ["leat", "image_attack"])
@@ -527,7 +527,7 @@ class TestProgram:
         program = ad.compile(loss, x)
         for point in points:
             want_loss, want_grad = eager(loss_fn, point)
-            got_loss, got_grad = program(point.data)
+            got_loss, got_grad = ad.run_program(program, point.data)
             assert got_loss.shape == want_loss.shape == X.shape[:-3]
             assert np.array_equal(got_loss, want_loss)
             assert got_grad.shape == X.shape
@@ -541,7 +541,7 @@ class TestProgram:
         program = ad.compile(loss, x)
         for shape in ((5, 3), (3,), (4, 3, 1)):
             with pytest.raises(ShapeError):
-                program(np.zeros(shape))
+                ad.run_program(program, np.zeros(shape))
 
     @pytest.mark.parametrize("source", ["watched", "from_input"])
     def test_tracked_weight_raises(self, source):
@@ -559,7 +559,7 @@ class TestProgram:
             ad.backward(loss, x)
         program = ad.compile(loss, x)
         with pytest.raises(LineageError, match="affine"):
-            program(x0.data)
+            ad.run_program(program, x0.data)
 
     def test_keeps_no_tape_and_constants_once(self):
         # the off-tape term enters as a constant; the tape can go once compiled
@@ -582,7 +582,7 @@ class TestProgram:
         finally:
             gc.enable()
         x1 = ad.Tensor(rng.normal(size=(2, 4)))
-        for got, want in zip(program(x1.data), eager(loss_fn, x1)):
+        for got, want in zip(ad.run_program(program, x1.data), eager(loss_fn, x1)):
             assert np.array_equal(got, want)
 
     def test_strided_constant_gives_the_recorded_bits(self):
@@ -600,7 +600,7 @@ class TestProgram:
         _, x, loss = record(loss_fn, x0)
         program = ad.compile(loss, x)
         x1 = ad.Tensor(rng.normal(size=(3, 1)))
-        for got, want in zip(program(x1.data), eager(loss_fn, x1)):
+        for got, want in zip(ad.run_program(program, x1.data), eager(loss_fn, x1)):
             assert np.array_equal(got, want)
 
     def test_loss_free_of_the_input_has_zero_gradient(self):
@@ -608,7 +608,7 @@ class TestProgram:
         with ad.recording(tape):
             x, other = tape.watch(ad.Tensor([1.0, 2.0])), tape.watch(ad.Tensor([3.0, 4.0]))
             loss = ad.mse_loss(other, ad.Tensor([0.0, 0.0]))
-        got_loss, got_grad = ad.compile(loss, x)(np.array([5.0, 6.0]))
+        got_loss, got_grad = ad.run_program(ad.compile(loss, x), np.array([5.0, 6.0]))
         assert got_loss == 12.5
         assert np.array_equal(got_grad, np.zeros(2))
 
