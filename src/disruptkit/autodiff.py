@@ -25,13 +25,15 @@ differentiates the sum of the loss's elements, so one pass over a stack's
 per-image losses gives each image its own gradient. A tape is never mutated
 by a backward pass, so it can be differentiated repeatedly.
 
-``compile(loss, wrt)`` turns a recorded loss into a program: the tape's
-recorded kernels, with every untracked input (weights, frozen references,
-terms computed off the tape) held as a constant that was computed once, when
-the loss was recorded. ``run_program`` on a new input of the recorded shape
-calls the same kernels in the same order and walks the same reverse pass as
-``backward``, so it returns the bits that recording and differentiating the
-loss there would, without a tape, op checks or recomputed constants.
+A tape records program steps: each recorded op is one ``_Step`` (its kernel,
+the slots of its tracked inputs, the arrays of its untracked ones), and the
+tape keeps each kernel call's VJP beside it. ``backward`` walks a live tape's
+steps with those VJPs. ``compile(loss, wrt)`` hands the same steps, unchanged,
+to a ``Program``, and ``run_program`` calls their kernels on a new input of
+the recorded shape and walks the VJPs of that call. Both share one reverse
+walk, so a program returns the bits that recording and differentiating the
+loss at the new input would, without a tape, op checks or recomputed
+constants (weights, frozen references, terms computed off the tape).
 """
 
 from __future__ import annotations
@@ -118,54 +120,56 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-class _Record(NamedTuple):
-    """One op recorded on a tape: its kernel, the tensors it read and wrote, and its VJP.
+class _Step(NamedTuple):
+    """One recorded op, and so one kernel call of a program.
 
-    ``slots[i]`` is the tape slot of input i, or None when that input is not
-    tracked, and ``needs[i]`` says whether it is tracked; ``out`` is the
-    output's slot. ``vjp(output gradient, needs)`` returns per-input
+    Input i is the value in tape slot ``slots[i]`` when it is tracked
+    (``needs[i]``), and otherwise the constant ``consts[i]``; ``out`` is the
+    output's slot. A VJP, ``vjp(output gradient, needs)``, returns per-input
     gradients; those not needed are ignored, so a VJP may skip computing them.
     """
 
     op: str
     kernel: Callable
-    inputs: tuple[Tensor, ...]
     slots: tuple[int | None, ...]
     needs: tuple[bool, ...]
-    output: Tensor
+    consts: tuple[np.ndarray | None, ...]
     out: int
-    vjp: Callable
 
 
 class Tape:
-    """Ordered record of primitive operations, in topological (creation) order.
+    """Ordered steps of primitive operations, in topological (creation) order.
 
     Each tracked tensor (a watched leaf or a recorded output) has a slot: its
-    index in the order it became tracked. Backward passes accumulate gradients
-    into a scratch list indexed by slot; the tape itself is never modified, so
-    repeated calls on the same tape return identical gradients.
+    index in the order it became tracked. ``_slots`` maps the tensor itself
+    to it (a Tensor hashes by identity) and keeps it alive. Backward passes
+    accumulate gradients into a scratch list indexed by slot; the tape itself
+    is never modified, so repeated calls on the same tape return identical
+    gradients.
     """
 
     def __init__(self):
-        self._records: list[_Record] = []
-        self._slots: dict[int, int] = {}  # id(tracked tensor) -> slot
+        self._records: list[_Step] = []
+        self._vjps: list[Callable] = []  # the VJP of each record's kernel call
+        self._slots: dict[Tensor, int] = {}
         self._watched: list[Tensor] = []
         self._ref = weakref.ref(self)
 
     def watch(self, t: Tensor) -> Tensor:
         """Register a leaf tensor so it can be differentiated against."""
-        self._slots.setdefault(id(t), len(self._slots))
+        self._slots.setdefault(t, len(self._slots))
         self._watched.append(t)
         return t
 
     def _record(self, op, kernel, inputs, output, vjp):
-        # every tracked tensor is held by _watched or a record, so ids stay unique
-        slots = tuple([self._slots.get(id(t)) for t in inputs])
+        slots = tuple([self._slots.get(t) for t in inputs])
         needs = tuple([s is not None for s in slots])
         if True not in needs:
             return
-        out = self._slots[id(output)] = len(self._slots)
-        self._records.append(_Record(op, kernel, inputs, slots, needs, output, out, vjp))
+        consts = tuple([t._data if s is None else None for s, t in zip(slots, inputs)])
+        out = self._slots[output] = len(self._slots)
+        self._records.append(_Step(op, kernel, slots, needs, consts, out))
+        self._vjps.append(vjp)
         output._tape_ref = self._ref
 
 
@@ -173,7 +177,8 @@ _STACK: list[Tape | None] = []  # innermost last; None suspends recording
 
 
 @contextmanager
-def recording(tape: Tape):
+def recording(tape: Tape | None):
+    """Record ops on ``tape`` inside the block; None suspends recording."""
     _STACK.append(tape)
     try:
         yield tape
@@ -181,14 +186,9 @@ def recording(tape: Tape):
         _STACK.pop()
 
 
-@contextmanager
 def stop_recording():
     """Suspend recording, e.g. while computing frozen reference values."""
-    _STACK.append(None)
-    try:
-        yield
-    finally:
-        _STACK.pop()
+    return recording(None)
 
 
 def _apply(op: str, kernel: Callable, inputs: tuple[Tensor, ...]) -> Tensor:
@@ -455,7 +455,7 @@ def _mse_kernel(reduced: tuple[int, ...], n: int, a: np.ndarray, b: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Differentiation: backward on a tape, and compiled programs
+# Differentiation: one reverse walk for a live tape and a compiled program
 # ---------------------------------------------------------------------------
 
 
@@ -464,20 +464,20 @@ def _tape_of(loss: Tensor, wrt: Tensor) -> Tape:
     tape = loss._tape
     if tape is None:
         raise LineageError("loss tensor was not produced under a live tape")
-    if id(wrt) not in tape._slots:
+    if wrt not in tape._slots:
         raise LineageError("requested tensor was never recorded on this tape")
-    if id(loss) not in tape._slots:
+    if loss not in tape._slots:
         raise LineageError("loss tensor was never recorded on this tape")
     return tape
 
 
-def _backprop(steps: Sequence, vjps: Sequence[Callable], n_slots: int, loss: np.ndarray,
+def _backprop(steps: Sequence[_Step], vjps: Sequence[Callable], n_slots: int, loss: np.ndarray,
               loss_slot: int, wrt_slot: int, shape: tuple[int, ...]) -> np.ndarray:
     """The gradient of ``loss``'s element sum at ``wrt_slot``, reshaped to ``shape``.
 
-    The one reverse walk, shared by ``backward`` and compiled programs:
-    ``steps`` (records or program steps) and their ``vjps`` are in creation
-    order, and gradients accumulate in one list indexed by slot.
+    The one reverse walk, shared by ``backward`` and ``run_program``:
+    ``steps`` and the ``vjps`` of their kernel calls are in creation order,
+    and gradients accumulate in one list indexed by slot.
     """
     grads: list[np.ndarray | None] = [None] * n_slots
     grads[loss_slot] = np.ones(loss.shape, dtype=np.float64)
@@ -504,20 +504,9 @@ def backward(loss: Tensor, wrt: Tensor) -> Tensor:
     to its tape only weakly.
     """
     tape = _tape_of(loss, wrt)
-    records = tape._records
-    return Tensor._wrap(_backprop(records, [rec.vjp for rec in records], len(tape._slots),
-                                  loss.data, tape._slots[id(loss)], tape._slots[id(wrt)],
-                                  wrt.shape))
-
-
-class _Step(NamedTuple):
-    """One kernel call of a program: input i is ``consts[i]``, or the value in ``slots[i]``."""
-
-    kernel: Callable
-    slots: tuple[int | None, ...]
-    needs: tuple[bool, ...]
-    consts: tuple[np.ndarray | None, ...]
-    out: int
+    slots = tape._slots
+    return Tensor._wrap(_backprop(tape._records, tape._vjps, len(slots), loss.data,
+                                  slots[loss], slots[wrt], wrt.shape))
 
 
 class Program(NamedTuple):
@@ -533,25 +522,21 @@ class Program(NamedTuple):
 def compile(loss: Tensor, wrt: Tensor) -> Program:
     """The recorded computation of ``loss`` as a program of ``wrt``; see ``run_program``.
 
-    Each record of the tape becomes a step, in order. A record's untracked
-    inputs are constants whose arrays the program holds: a layer's weights,
-    a frozen reference, a term computed off the tape (say, a conditioning
-    term). A watched tensor other than ``wrt`` keeps the array it had when
-    recorded. Such constants are computed once, when the loss is recorded.
-    The program holds no recorded intermediate and no tape, so the tape can
-    be dropped once compiled.
+    The program's steps are the tape's own records. A record's untracked
+    inputs are constants whose arrays it holds: a layer's weights, a frozen
+    reference, a term computed off the tape (say, a conditioning term),
+    computed once, when the loss was recorded. A watched tensor other than
+    ``wrt`` keeps the array it had when recorded. The program holds no
+    recorded intermediate, no VJP and no tape, so the tape can be dropped
+    once compiled.
     """
     tape = _tape_of(loss, wrt)
     slots = tape._slots
     watched: list[np.ndarray | None] = [None] * len(slots)
     for t in tape._watched:
         if t is not wrt:
-            watched[slots[id(t)]] = t._data
-    steps = tuple([_Step(rec.kernel, rec.slots, rec.needs,
-                         tuple([t._data if s is None else None
-                                for s, t in zip(rec.slots, rec.inputs)]), rec.out)
-                   for rec in tape._records])
-    return Program(steps, wrt.shape, slots[id(wrt)], slots[id(loss)], tuple(watched))
+            watched[slots[t]] = t._data
+    return Program(tuple(tape._records), wrt.shape, slots[wrt], slots[loss], tuple(watched))
 
 
 def run_program(program: Program, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -561,7 +546,7 @@ def run_program(program: Program, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     with the recorded shape; ShapeError otherwise) and the constants, then
     walks the same reverse pass as ``backward``. So it returns the bits that
     recording the loss at ``x`` and differentiating it would. Each step keeps
-    its record's ``needs``, so a tracked layer parameter raises LineageError
+    its recorded ``needs``, so a tracked layer parameter raises LineageError
     here as it does in ``backward``.
     """
     steps, shape, wrt_slot, loss_slot, watched = program
@@ -570,7 +555,7 @@ def run_program(program: Program, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     values = list(watched)
     values[wrt_slot] = x
     vjps = []
-    for kernel, slots, _, consts, out_slot in steps:
+    for _, kernel, slots, _, consts, out_slot in steps:
         out, vjp = kernel(*[c if s is None else values[s] for s, c in zip(slots, consts)])
         # dense, as Tensor._wrap makes it, so each kernel sees its recorded layout
         values[out_slot] = out if out.flags.c_contiguous else np.ascontiguousarray(out)
@@ -623,7 +608,3 @@ class ParameterSet:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.tensors.keys())
-
-    @property
-    def count(self) -> int:
-        return sum(t.size for t in self.tensors.values())

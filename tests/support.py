@@ -23,3 +23,9 @@ def drawn_stages(model) -> set:
 def recorded(tape) -> list:
     """The records of ``tape``, in creation order."""
     return list(tape._records)
+
+
+def recorded_outputs(tape) -> list:
+    """The arrays of the op outputs that ``tape`` recorded."""
+    outs = {rec.out for rec in tape._records}
+    return [t.data for t, slot in tape._slots.items() if slot in outs]

@@ -12,7 +12,7 @@ from disruptkit.dataset import generate_dataset
 from disruptkit.errors import LineageError, ShapeError
 from disruptkit.objectives import ImageAttackObjective, LatentAttackObjective
 
-from support import recorded, rel_err
+from support import recorded, recorded_outputs, rel_err
 
 
 def watched(tape, *arrays):
@@ -467,13 +467,11 @@ class TestTapeRecords:
             y = ad.activation(x, "tanh")
             loss = ad.mse_loss(y, ad.Tensor([0.0, 0.0]))
         assert [rec.op for rec in recorded(tape)] == ["tanh", "mse"]
-        seen = {id(x)}
+        defined = {tape._slots[x]}
         for rec in recorded(tape):
-            for t in rec.inputs:
-                # every non-leaf input must already be defined
-                assert id(t) in seen or t._tape is not tape
-                seen.add(id(t))
-            seen.add(id(rec.output))
+            # every tracked input is a leaf or an earlier record's output
+            assert all(s is None or s in defined for s in rec.slots)
+            defined.add(rec.out)
         assert loss._tape is tape
 
 
@@ -532,6 +530,23 @@ class TestProgram:
             assert np.array_equal(got_loss, want_loss)
             assert got_grad.shape == X.shape
             assert np.array_equal(got_grad, want_grad)
+
+    @pytest.mark.parametrize("method", ["leat", "image_attack"])
+    @pytest.mark.parametrize("archetype", zoo.ARCHETYPES)
+    def test_shares_the_tape_steps_and_holds_no_intermediate(self, archetype, method):
+        model = zoo.build_model(archetype, seed=68)
+        X = generate_dataset(seed=69, count=2, shape=(8, 8, 1)).images
+        objective = (LatentAttackObjective() if method == "leat" else ImageAttackObjective(
+            {model.name: zoo.sample_attribute_set(model, 3, 0, [70]).known}))
+        tape, x, loss = record(objective.bind(model, X), X)
+        program = ad.compile(loss, x)
+        steps, outputs = recorded(tape), recorded_outputs(tape)
+        assert len(program.steps) == len(steps) > 0
+        assert all(got is want for got, want in zip(program.steps, steps))
+        del tape, x, loss
+        held = [c for step in program.steps for c in step.consts if c is not None]
+        held += [a for a in program.watched if a is not None]
+        assert held and not any(np.shares_memory(a, out) for a in held for out in outputs)
 
     def test_wrong_shape_rejected(self):
         w = ad.Tensor(np.ones((2, 3)))
@@ -661,6 +676,5 @@ class TestParameterSet:
             "w": ad.Tensor(np.zeros((3, 4))),
             "b": ad.Tensor(np.zeros(3)),
         })
-        assert ps.count == 15
         assert ps["w"].shape == (3, 4)
         assert ps.names() == ("w", "b")

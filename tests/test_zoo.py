@@ -334,7 +334,9 @@ class TestLazyDraws:
         m = zoo.build_model(archetype, seed=7, dims=dims)
         ratio = m.parameter_ratio
         assert drawn_stages(m) == set()
-        assert ratio == m.generator_params.count / m.encoder_params.count
+        gen, enc = (sum(t.size for t in params.tensors.values())
+                    for params in (m.generator_params, m.encoder_params))
+        assert ratio == gen / enc
 
     def test_encoding_draws_no_generator(self, archetype, dims):
         m = zoo.build_model(archetype, seed=7, dims=dims)
