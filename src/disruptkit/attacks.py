@@ -18,7 +18,9 @@ rounds above 1) and only shrinks |eta|, so the clamp's exact +/-epsilon
 values survive and coordinates already valid keep their bits.
 
 The gradient provider passed to run_attack encapsulates the objective and
-the ensemble strategy; the loop itself knows nothing about models.
+the ensemble strategy; the loop itself knows nothing about models. Binding
+the objective records each model's reference pass and compiles its loss;
+every iteration replays that program and records nothing.
 
 Both work on one image ``[H, W, C]`` or a stack ``[..., H, W, C]``: every
 step is elementwise, the provider backpropagates the sum of the per-image
@@ -35,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .dataset import stack_axes
 from .ensembles import EnsembleStrategy, PerModelGradient, aggregate
 from .errors import ConfigError, InvariantError, ShapeError
@@ -166,60 +168,35 @@ def build_gradient_provider(models: Sequence[TwoStageModel], objective: Objectiv
     """Bind objective references to X and wire per-model gradients into the ensemble.
 
     Clean references (latents or outputs) are frozen here, once, before any
-    iteration. Each call then takes each model's per-image losses and the
-    gradient of their sum (see _model_gradient) and aggregates. A non-finite
-    loss or gradient raises InvariantError naming the model and the image row
-    (in row-major order over X's stack axes; 0 for one image).
+    iteration, by ``bind``. Each call then runs each model's bound program on
+    ``x_t`` (per-image losses and the gradient of their sum), adds the
+    encode/generate calls of the reference pass, one evaluation's, to the
+    model's counters, and aggregates. A non-finite loss or gradient raises
+    InvariantError naming the model and the image row (in row-major order
+    over X's stack axes; 0 for one image).
     """
     if not models:
         raise ConfigError("gradient provider needs at least one model")
-    bound = [(i, model, _model_gradient(model, objective.bind(model, X)))
-             for i, model in enumerate(models)]
+    bound = []
+    for model_id, model in enumerate(models):
+        counters = model.counters
+        before = (counters.encode_calls, counters.generate_calls)
+        program = objective.bind(model, X).program
+        calls = (counters.encode_calls - before[0], counters.generate_calls - before[1])
+        bound.append((model_id, model, program, calls))
 
     def provider(x_t: Tensor) -> Tensor:
         per_model = []
-        for model_id, model, gradient_of in bound:
-            losses, gradient = gradient_of(x_t)
-            _check_finite(model, losses, gradient.data)
+        for model_id, model, program, calls in bound:
+            model.counters.encode_calls += calls[0]
+            model.counters.generate_calls += calls[1]
+            losses, gradient = ad.run_program(program, x_t.data)
+            _check_finite(model, losses, gradient)
             per_model.append(PerModelGradient(
-                model_id=model_id, loss_value=losses, gradient=gradient))
+                model_id=model_id, loss_value=losses, gradient=Tensor._wrap(gradient)))
         return aggregate(strategy, per_model)
 
     return provider
-
-
-def _model_gradient(model: TwoStageModel,
-                    loss_fn: Callable[[Tensor], Tensor]) -> Callable[[Tensor], tuple]:
-    """x_t -> (per-image losses, gradient of their sum) for one model's bound loss.
-
-    The first call records the loss on a tape and differentiates it with
-    ``backward``, then compiles the tape and drops it. Every later call runs
-    the compiled program on ``x_t``'s array through ``ad.run_program``, so
-    the loss's untracked terms (the conditioning term, the swapper's target
-    features) are computed once per attack, and adds to the model's counters
-    the encode/generate calls that the recording made.
-    """
-    program, calls = None, (0, 0)
-
-    def gradient_of(x_t: Tensor) -> tuple[np.ndarray, Tensor]:
-        nonlocal program, calls
-        counters = model.counters
-        if program is not None:
-            counters.encode_calls += calls[0]
-            counters.generate_calls += calls[1]
-            losses, gradient = ad.run_program(program, x_t.data)
-            return losses, Tensor._wrap(gradient)
-        before = (counters.encode_calls, counters.generate_calls)
-        tape = Tape()
-        tape.watch(x_t)
-        with ad.recording(tape):
-            losses = loss_fn(x_t)
-        gradient = ad.backward(losses, x_t)
-        program = ad.compile(losses, x_t)
-        calls = (counters.encode_calls - before[0], counters.generate_calls - before[1])
-        return losses.data, gradient
-
-    return gradient_of
 
 
 def _check_finite(model: TwoStageModel, losses: np.ndarray, gradient: np.ndarray) -> None:

@@ -16,14 +16,15 @@ Each primitive is an op and a kernel. The kernel, ``kernel(*arrays) ->
 calls the kernel once and records it on the active tape.
 
 Recording is opt-in: ops consult the active tape and compute plainly when none
-is active (used for frozen reference values). A tape tracks only the tensors it
-watches and the outputs of ops it recorded; an op with no tracked input is not
-recorded, and a backward pass computes no gradient for an untracked input. A
-layer's weights and bias are constants: a backward pass that meets a tracked one
-raises LineageError rather than return a zero gradient. A backward pass always
-differentiates the sum of the loss's elements, so one pass over a stack's
-per-image losses gives each image its own gradient. A tape is never mutated
-by a backward pass, so it can be differentiated repeatedly.
+is active (evaluation runs so); ``recording(None)`` suspends an active tape. A
+tape tracks only the tensors it watches and the outputs of ops it recorded; an
+op with no tracked input is not recorded, and a backward pass computes no
+gradient for an untracked input. A layer's weights and bias are constants: a
+backward pass that meets a tracked one raises LineageError rather than return
+a zero gradient. A backward pass always differentiates the sum of the loss's
+elements, so one pass over a stack's per-image losses gives each image its own
+gradient. A tape is never mutated by a backward pass, so it can be
+differentiated repeatedly.
 
 A tape records program steps: each recorded op is one ``_Step`` (its kernel,
 the slots of its tracked inputs, the arrays of its untracked ones), and the
@@ -184,11 +185,6 @@ def recording(tape: Tape | None):
         yield tape
     finally:
         _STACK.pop()
-
-
-def stop_recording():
-    """Suspend recording, e.g. while computing frozen reference values."""
-    return recording(None)
 
 
 def _apply(op: str, kernel: Callable, inputs: tuple[Tensor, ...]) -> Tensor:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disruptkit import attacks, zoo
+from disruptkit import zoo
 from disruptkit import autodiff as ad
 from disruptkit.attacks import (
     AttackConfig,
@@ -23,7 +23,7 @@ from disruptkit.autodiff import Tensor
 from disruptkit.dataset import generate_dataset
 from disruptkit.ensembles import ENSEMBLE_KINDS, EnsembleStrategy
 from disruptkit.errors import ConfigError, InvariantError, ShapeError
-from disruptkit.objectives import ImageAttackObjective, LatentAttackObjective
+from disruptkit.objectives import BoundLoss, ImageAttackObjective, LatentAttackObjective
 
 from support import recorded, rel_err
 
@@ -282,7 +282,15 @@ class TestRunAttack:
         class NanObjective:
             def bind(self, model, X):
                 inner = LatentAttackObjective().bind(model, X)
-                return lambda x_pert: ad.scale(inner(x_pert), float("nan"))
+
+                def loss(x_pert):
+                    return ad.scale(inner(x_pert), float("nan"))
+
+                tape = ad.Tape()
+                x = tape.watch(Tensor(X.data))
+                with ad.recording(tape):
+                    program = ad.compile(loss(x), x)
+                return BoundLoss(loss, program)
 
         model = zoo.build_model("refiner", seed=2, name="refiner_nan")
         stack = Tensor(np.stack([x.data, source(10).data]))
@@ -361,10 +369,10 @@ class TestGradientProvider:
         with pytest.raises(ConfigError):
             build_gradient_provider([], LatentAttackObjective(), NORMALIZED, source(0))
 
-    # taped records per model in a provider's first call, for (leat, image_attack):
+    # taped records per model of bind's reference pass, for (leat, image_attack):
     # each layer act(W x + b) and the loss are one op each, and the
     # conditioning term, computed from untracked attributes, is on no tape.
-    # Later calls run the compiled records and record nothing.
+    # Provider calls run the compiled records and record nothing.
     OPS_PER_CALL = {"vec_conditional": (4, 8), "refiner": (4, 16),
                     "swapper": (4, 8), "reenactor": (5, 10)}
 
@@ -377,7 +385,7 @@ class TestGradientProvider:
                 super().__init__()
                 tapes.append(self)
 
-        monkeypatch.setattr(attacks, "Tape", CountingTape)
+        monkeypatch.setattr(ad, "Tape", CountingTape)
         model = zoo.build_model(archetype, seed=15)
         X = stack_of([source(s) for s in range(3)])
         attrs = zoo.sample_attribute_set(model, 5, 0, [16]).known
@@ -396,8 +404,8 @@ class TestGradientProvider:
     @pytest.mark.parametrize("method", ["leat", "image_attack"])
     @pytest.mark.parametrize("archetype", zoo.ARCHETYPES)
     def test_replayed_calls_match_a_fresh_provider(self, archetype, method):
-        # a provider records on its first call and replays after: each later
-        # call returns the bits a provider built for that point returns first
+        # every call replays the program bound at X: each returns the bits
+        # that a provider built afresh returns on its first call
         models = [zoo.build_model(archetype, seed=s) for s in (16, 17)]
         X = stack_of([source(s) for s in range(3)])
         objective = (LatentAttackObjective() if method == "leat" else ImageAttackObjective(
@@ -410,26 +418,31 @@ class TestGradientProvider:
             assert np.array_equal(provider(x_t).data, fresh.data)
 
     def test_compiles_once_and_keeps_no_tape(self, monkeypatch):
-        # the first call compiles its tape and drops it, so no recorded
-        # intermediate outlives that call; later calls compile nothing more
-        tapes, compiled = [], []
+        # bind records and compiles each model's loss once, in
+        # build_gradient_provider, and drops the tape; no provider call
+        # makes a tape, differentiates one or compiles
+        tapes, compiled, differentiated = [], [], []
 
         class WatchedTape(ad.Tape):
             def __init__(self):
                 super().__init__()
                 tapes.append(weakref.ref(self))
 
-        compile_ = ad.compile
-        monkeypatch.setattr(attacks, "Tape", WatchedTape)
+        compile_, backward_ = ad.compile, ad.backward
+        monkeypatch.setattr(ad, "Tape", WatchedTape)
         monkeypatch.setattr(ad, "compile", lambda *args: compiled.append(1) or compile_(*args))
-        model = zoo.build_model("swapper", seed=19)
+        monkeypatch.setattr(ad, "backward",
+                            lambda *args: differentiated.append(1) or backward_(*args))
+        models = [zoo.build_model(arch, seed=19) for arch in ("swapper", "refiner")]
         X = stack_of([source(s) for s in range(2)])
-        provider = build_gradient_provider([model], LatentAttackObjective(), NORMALIZED, X)
         gc.disable()
         try:
+            provider = build_gradient_provider(models, LatentAttackObjective(), NORMALIZED, X)
+            assert len(tapes) == 2 and compiled == [1, 1]
             for scale in (1.0, 0.9, 0.8):
                 provider(Tensor(scale * X.data))
-                assert len(tapes) == 1 and tapes[0]() is None and compiled == [1]
+                assert all(tape() is None for tape in tapes)
+                assert len(tapes) == 2 and compiled == [1, 1] and differentiated == []
         finally:
             gc.enable()
 

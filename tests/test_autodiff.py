@@ -480,7 +480,7 @@ class TestStopRecording:
         tape = ad.Tape()
         (x,) = watched(tape, [1.0, 2.0])
         with ad.recording(tape):
-            with ad.stop_recording():
+            with ad.recording(None):
                 ref = ad.activation(x, "tanh")
             loss = ad.mse_loss(x, ref)
         assert all(rec.op != "tanh" for rec in recorded(tape))
@@ -522,31 +522,45 @@ class TestProgram:
         points = [ad.Tensor(np.clip(X.data + rng.uniform(-0.05, 0.05, X.shape), 0.0, 1.0))
                   for _ in range(3)]
         _, x, loss = record(loss_fn, points[0])
-        program = ad.compile(loss, x)
-        for point in points:
-            want_loss, want_grad = eager(loss_fn, point)
-            got_loss, got_grad = ad.run_program(program, point.data)
-            assert got_loss.shape == want_loss.shape == X.shape[:-3]
-            assert np.array_equal(got_loss, want_loss)
-            assert got_grad.shape == X.shape
-            assert np.array_equal(got_grad, want_grad)
+        # a program compiled here, and the one bind compiled from its reference pass
+        for program in (ad.compile(loss, x), loss_fn.program):
+            for point in points:
+                want_loss, want_grad = eager(loss_fn, point)
+                got_loss, got_grad = ad.run_program(program, point.data)
+                assert got_loss.shape == want_loss.shape == X.shape[:-3]
+                assert np.array_equal(got_loss, want_loss)
+                assert got_grad.shape == X.shape
+                assert np.array_equal(got_grad, want_grad)
 
     @pytest.mark.parametrize("method", ["leat", "image_attack"])
     @pytest.mark.parametrize("archetype", zoo.ARCHETYPES)
-    def test_shares_the_tape_steps_and_holds_no_intermediate(self, archetype, method):
+    def test_shares_the_tape_steps_and_holds_no_intermediate(self, archetype, method,
+                                                              monkeypatch):
         model = zoo.build_model(archetype, seed=68)
         X = generate_dataset(seed=69, count=2, shape=(8, 8, 1)).images
         objective = (LatentAttackObjective() if method == "leat" else ImageAttackObjective(
             {model.name: zoo.sample_attribute_set(model, 3, 0, [70]).known}))
-        tape, x, loss = record(objective.bind(model, X), X)
-        program = ad.compile(loss, x)
-        steps, outputs = recorded(tape), recorded_outputs(tape)
-        assert len(program.steps) == len(steps) > 0
-        assert all(got is want for got, want in zip(program.steps, steps))
-        del tape, x, loss
-        held = [c for step in program.steps for c in step.consts if c is not None]
-        held += [a for a in program.watched if a is not None]
-        assert held and not any(np.shares_memory(a, out) for a in held for out in outputs)
+        bind_tapes = []
+
+        class KeptTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                bind_tapes.append(self)
+
+        monkeypatch.setattr(ad, "Tape", KeptTape)
+        bound = objective.bind(model, X)
+        monkeypatch.undo()
+        (bind_tape,) = bind_tapes
+        record_tape, x, loss = record(bound, X)
+        # a program compiled here, and the one bind compiled from its reference
+        # pass, whose frozen reference must be a copy of the recorded output
+        for program, tape in ((ad.compile(loss, x), record_tape), (bound.program, bind_tape)):
+            steps, outputs = recorded(tape), recorded_outputs(tape)
+            assert len(program.steps) == len(steps) > 0
+            assert all(got is want for got, want in zip(program.steps, steps))
+            held = [c for step in program.steps for c in step.consts if c is not None]
+            held += [a for a in program.watched if a is not None]
+            assert held and not any(np.shares_memory(a, out) for a in held for out in outputs)
 
     def test_wrong_shape_rejected(self):
         w = ad.Tensor(np.ones((2, 3)))

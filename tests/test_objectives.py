@@ -44,7 +44,7 @@ def latent_loss(model, x, xp):
 
 def latent_mse(model, x, xp):
     """Independent oracle: mse(E(X_pert), E(X)) computed directly, off-tape."""
-    with ad.stop_recording():
+    with ad.recording(None):
         return ad.mse_loss(model.encode(xp), model.encode(x)).item()
 
 
@@ -56,7 +56,7 @@ class TestImageLoss:
     def test_single_attribute_equals_plain_mse(self, model, x):
         (c,) = attrs_for(model, n=1)
         xp = perturbed(x)
-        with ad.stop_recording():
+        with ad.recording(None):
             want = ad.mse_loss(model.full_forward(xp, c), model.full_forward(x, c)).item()
         got = per_model_image_loss(model, x, xp, [c]).item()
         assert abs(got - want) < 1e-15
@@ -130,7 +130,7 @@ class TestObjectiveTypes:
     def test_bound_latent_loss_matches_module_function(self, model, x):
         xp = perturbed(x)
         bound = LatentAttackObjective().bind(model, x)
-        with ad.stop_recording():
+        with ad.recording(None):
             got = bound(xp).item()
         assert got == latent_mse(model, x, xp)
 
@@ -138,7 +138,7 @@ class TestObjectiveTypes:
         cs = attrs_for(model, n=3)
         xp = perturbed(x)
         bound = ImageAttackObjective(attributes_by_model={model.name: cs}).bind(model, x)
-        with ad.stop_recording():
+        with ad.recording(None):
             got = bound(xp).item()
             # independent oracle: the per-attribute output MSEs, summed in order, then averaged;
             # bind reduces over the attribute axis in one mean, so rounding may differ

@@ -348,7 +348,7 @@ class TestGradientFlow:
     def test_full_forward_differentiable(self, model):
         x0 = source_image(11)
         c = attr_for(model)
-        with ad.stop_recording():
+        with ad.recording(None):
             ref = model.full_forward(x0, c)
 
         def loss_fn(xv):
