@@ -23,18 +23,18 @@ gradient for an untracked input. A layer's weights and bias are constants: a
 backward pass that meets a tracked one raises LineageError rather than return
 a zero gradient. A backward pass always differentiates the sum of the loss's
 elements, so one pass over a stack's per-image losses gives each image its own
-gradient. A tape is never mutated by a backward pass, so it can be
-differentiated repeatedly.
+gradient. A backward pass replays the tape's records and leaves the tape as
+it is, so it can be differentiated repeatedly.
 
-A tape records program steps: each recorded op is one ``_Step`` (its kernel,
-the slots of its tracked inputs, the arrays of its untracked ones), and the
-tape keeps each kernel call's VJP beside it. ``backward`` walks a live tape's
-steps with those VJPs. ``compile(loss, wrt)`` hands the same steps, unchanged,
-to a ``Program``, and ``run_program`` calls their kernels on a new input of
-the recorded shape and walks the VJPs of that call. Both share one reverse
-walk, so a program returns the bits that recording and differentiating the
-loss at the new input would, without a tape, op checks or recomputed
-constants (weights, frozen references, terms computed off the tape).
+A tape records program steps and keeps no VJP: each recorded op is one
+``_Step`` (its kernel, the slots of its tracked inputs, the arrays of its
+untracked ones). ``compile(loss, wrt)`` hands the steps, unchanged, to a
+``Program`` of the watched ``wrt``. ``run_program`` calls their kernels on a
+new input of the recorded shape, then walks the VJPs of those calls: the one
+reverse walk, which ``backward`` runs at ``wrt``'s own values. So a program
+returns the bits that recording and differentiating the loss at the new input
+would, without a tape, op checks or recomputed constants (weights, frozen
+references, terms computed off the tape).
 """
 
 from __future__ import annotations
@@ -143,15 +143,14 @@ class Tape:
 
     Each tracked tensor (a watched leaf or a recorded output) has a slot: its
     index in the order it became tracked. ``_slots`` maps the tensor itself
-    to it (a Tensor hashes by identity) and keeps it alive. Backward passes
-    accumulate gradients into a scratch list indexed by slot; the tape itself
-    is never modified, so repeated calls on the same tape return identical
+    to it (a Tensor hashes by identity) and keeps it alive. A tape keeps no
+    VJP and no kernel temporary: ``backward`` and ``run_program`` call the
+    kernels again, so repeated calls on the same tape return identical
     gradients.
     """
 
     def __init__(self):
         self._records: list[_Step] = []
-        self._vjps: list[Callable] = []  # the VJP of each record's kernel call
         self._slots: dict[Tensor, int] = {}
         self._watched: list[Tensor] = []
         self._ref = weakref.ref(self)
@@ -162,7 +161,7 @@ class Tape:
         self._watched.append(t)
         return t
 
-    def _record(self, op, kernel, inputs, output, vjp):
+    def _record(self, op, kernel, inputs, output):
         slots = tuple([self._slots.get(t) for t in inputs])
         needs = tuple([s is not None for s in slots])
         if True not in needs:
@@ -170,7 +169,6 @@ class Tape:
         consts = tuple([t._data if s is None else None for s, t in zip(slots, inputs)])
         out = self._slots[output] = len(self._slots)
         self._records.append(_Step(op, kernel, slots, needs, consts, out))
-        self._vjps.append(vjp)
         output._tape_ref = self._ref
 
 
@@ -189,11 +187,10 @@ def recording(tape: Tape | None):
 
 def _apply(op: str, kernel: Callable, inputs: tuple[Tensor, ...]) -> Tensor:
     """Call ``kernel`` on the inputs' arrays once; record it on the active tape, if any."""
-    out_arr, vjp = kernel(*[t._data for t in inputs])
-    out = Tensor._wrap(out_arr)
+    out = Tensor._wrap(kernel(*[t._data for t in inputs])[0])
     tape = _STACK[-1] if _STACK else None
     if tape is not None:
-        tape._record(op, kernel, inputs, out, vjp)
+        tape._record(op, kernel, inputs, out)
     return out
 
 
@@ -451,58 +448,22 @@ def _mse_kernel(reduced: tuple[int, ...], n: int, a: np.ndarray, b: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Differentiation: one reverse walk for a live tape and a compiled program
+# Differentiation: a recorded loss compiles to a program, and every gradient
+# is one replay of it
 # ---------------------------------------------------------------------------
 
 
-def _tape_of(loss: Tensor, wrt: Tensor) -> Tape:
-    """The live tape that recorded ``loss`` and tracks ``wrt``."""
-    tape = loss._tape
-    if tape is None:
-        raise LineageError("loss tensor was not produced under a live tape")
-    if wrt not in tape._slots:
-        raise LineageError("requested tensor was never recorded on this tape")
-    if loss not in tape._slots:
-        raise LineageError("loss tensor was never recorded on this tape")
-    return tape
-
-
-def _backprop(steps: Sequence[_Step], vjps: Sequence[Callable], n_slots: int, loss: np.ndarray,
-              loss_slot: int, wrt_slot: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The gradient of ``loss``'s element sum at ``wrt_slot``, reshaped to ``shape``.
-
-    The one reverse walk, shared by ``backward`` and ``run_program``:
-    ``steps`` and the ``vjps`` of their kernel calls are in creation order,
-    and gradients accumulate in one list indexed by slot.
-    """
-    grads: list[np.ndarray | None] = [None] * n_slots
-    grads[loss_slot] = np.ones(loss.shape, dtype=np.float64)
-    for step, vjp in zip(reversed(steps), reversed(vjps)):
-        g_out = grads[step.out]
-        if g_out is None:
-            continue
-        for slot, g in zip(step.slots, vjp(g_out, step.needs)):
-            if slot is not None:
-                acc = grads[slot]
-                grads[slot] = g if acc is None else acc + g
-    g = grads[wrt_slot]
-    return np.zeros(shape) if g is None else g.reshape(shape)
-
-
 def backward(loss: Tensor, wrt: Tensor) -> Tensor:
-    """Gradient of the sum of a recorded ``loss``'s elements with respect to ``wrt``.
+    """Gradient of the sum of a recorded ``loss``'s elements with respect to the watched ``wrt``.
 
-    The loss may have any shape: every element is seeded with exactly 1, so
-    a scalar loss gets its plain gradient, and per-image losses of a stack
-    give each image its own gradient. The tape is discovered from the loss
-    tensor and left untouched, so it can be differentiated again (also
-    against other tensors). The caller keeps the tape alive: a tensor refers
-    to its tape only weakly.
+    Every loss element is seeded with exactly 1, so a scalar loss gets its
+    plain gradient and per-image losses of a stack give each image its own.
+    It is one ``run_program`` of the loss compiled against ``wrt``, at
+    ``wrt``'s own values, so the tape is left as it is and can be
+    differentiated again. A tensor refers to its tape only weakly: the
+    caller keeps the tape alive.
     """
-    tape = _tape_of(loss, wrt)
-    slots = tape._slots
-    return Tensor._wrap(_backprop(tape._records, tape._vjps, len(slots), loss.data,
-                                  slots[loss], slots[wrt], wrt.shape))
+    return Tensor._wrap(run_program(compile(loss, wrt), wrt.data)[1])
 
 
 class Program(NamedTuple):
@@ -516,18 +477,24 @@ class Program(NamedTuple):
 
 
 def compile(loss: Tensor, wrt: Tensor) -> Program:
-    """The recorded computation of ``loss`` as a program of ``wrt``; see ``run_program``.
+    """The recorded computation of ``loss`` as a program of the watched ``wrt``; see ``run_program``.
 
     The program's steps are the tape's own records. A record's untracked
     inputs are constants whose arrays it holds: a layer's weights, a frozen
     reference, a term computed off the tape (say, a conditioning term),
     computed once, when the loss was recorded. A watched tensor other than
-    ``wrt`` keeps the array it had when recorded. The program holds no
-    recorded intermediate, no VJP and no tape, so the tape can be dropped
-    once compiled.
+    ``wrt`` keeps the array it had when recorded. Neither the tape nor the
+    program holds a recorded intermediate or a VJP, and the program holds
+    no tape, so the tape can be dropped once compiled. LineageError unless
+    ``loss`` was recorded on a live tape that watches ``wrt``.
     """
-    tape = _tape_of(loss, wrt)
+    tape = loss._tape
+    if tape is None:
+        raise LineageError("loss tensor was not produced under a live tape")
     slots = tape._slots
+    # a tensor the tape tracks but did not record is one it watches
+    if wrt not in slots or wrt._tape is tape:
+        raise LineageError("requested tensor is not watched by the tape that recorded the loss")
     watched: list[np.ndarray | None] = [None] * len(slots)
     for t in tape._watched:
         if t is not wrt:
@@ -538,12 +505,13 @@ def compile(loss: Tensor, wrt: Tensor) -> Program:
 def run_program(program: Program, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``program``'s loss at ``x`` and the gradient of its element sum there.
 
-    Runs each step's kernel on ``x`` (dense float64, as a Tensor's data is,
-    with the recorded shape; ShapeError otherwise) and the constants, then
-    walks the same reverse pass as ``backward``. So it returns the bits that
-    recording the loss at ``x`` and differentiating it would. Each step keeps
-    its recorded ``needs``, so a tracked layer parameter raises LineageError
-    here as it does in ``backward``.
+    ``x`` must have the recorded shape (ShapeError otherwise) and is used as
+    given, as recording used the watched tensor's array. Each step's kernel
+    runs on ``x`` and the constants, in creation order, and returns its
+    output and the VJP of that call; one reverse walk over the steps then
+    calls those VJPs. So it returns the bits that recording the loss at
+    ``x`` would, and this is the only code that calls a VJP. Each step keeps
+    its recorded ``needs``, so a tracked layer parameter raises LineageError.
     """
     steps, shape, wrt_slot, loss_slot, watched = program
     if x.shape != shape:
@@ -556,8 +524,20 @@ def run_program(program: Program, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # dense, as Tensor._wrap makes it, so each kernel sees its recorded layout
         values[out_slot] = out if out.flags.c_contiguous else np.ascontiguousarray(out)
         vjps.append(vjp)
-    loss_value = values[loss_slot]
-    return loss_value, _backprop(steps, vjps, len(values), loss_value, loss_slot, wrt_slot, shape)
+    loss = values[loss_slot]
+    # the reverse walk: gradients accumulate in one list indexed by slot
+    grads: list[np.ndarray | None] = [None] * len(values)
+    grads[loss_slot] = np.ones(loss.shape, dtype=np.float64)
+    for step, vjp in zip(reversed(steps), reversed(vjps)):
+        g_out = grads[step.out]
+        if g_out is None:
+            continue
+        for slot, g in zip(step.slots, vjp(g_out, step.needs)):
+            if slot is not None:
+                acc = grads[slot]
+                grads[slot] = g if acc is None else acc + g
+    g = grads[wrt_slot]
+    return loss, np.zeros(shape) if g is None else g.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

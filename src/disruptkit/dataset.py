@@ -148,13 +148,15 @@ def read_pnm(path) -> np.ndarray:
 
 
 def write_pnm(path, image: np.ndarray) -> None:
-    """Write an [0,1] array of shape (H,W,1) or (H,W,3) as binary PGM/PPM."""
+    """Write an [0,1] array of shape (H,W,1) or (H,W,3) as binary PGM/PPM; NaN is out of range."""
     path = Path(path)
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] not in (1, 3):
         raise ConfigError(f"cannot serialize image of shape {arr.shape} as PNM")
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ConfigError(f"{path}: pixel value outside [0, 1] or NaN, not written")
     magic = b"P5" if arr.shape[2] == 1 else b"P6"
-    quant = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    quant = np.rint(arr * 255.0).astype(np.uint8)
     header = b"%s\n%d %d\n255\n" % (magic, arr.shape[1], arr.shape[0])
     path.write_bytes(header + quant.tobytes())
 

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import gc
+import types
+
 import numpy as np
 
 
@@ -29,3 +32,24 @@ def recorded_outputs(tape) -> list:
     """The arrays of the op outputs that ``tape`` recorded."""
     outs = {rec.out for rec in tape._records}
     return [t.data for t, slot in tape._slots.items() if slot in outs]
+
+
+def reachable_arrays(root) -> list:
+    """The ndarrays that ``root`` keeps alive, found with ``gc.get_referents``.
+
+    The walk enters no module or class, and of a function only its closure
+    and defaults, not its globals.
+    """
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack += [*(obj.__closure__ or ()), obj.__defaults__, obj.__kwdefaults__]
+        else:
+            stack += gc.get_referents(obj)
+    return arrays

@@ -12,7 +12,7 @@ from disruptkit.dataset import generate_dataset
 from disruptkit.errors import LineageError, ShapeError
 from disruptkit.objectives import ImageAttackObjective, LatentAttackObjective
 
-from support import recorded, recorded_outputs, rel_err
+from support import reachable_arrays, recorded, recorded_outputs, rel_err
 
 
 def watched(tape, *arrays):
@@ -475,8 +475,8 @@ class TestTapeRecords:
         assert loss._tape is tape
 
 
-class TestStopRecording:
-    def test_ops_inside_stop_are_not_recorded(self):
+class TestSuspendedRecording:
+    def test_ops_under_recording_none_are_not_recorded(self):
         tape = ad.Tape()
         (x,) = watched(tape, [1.0, 2.0])
         with ad.recording(tape):
@@ -500,7 +500,13 @@ def record(loss_fn, x0):
 
 
 def eager(loss_fn, x0):
-    """The loss of ``loss_fn`` at ``x0`` and its gradient, recorded and differentiated afresh."""
+    """The loss of ``loss_fn`` at ``x0`` and its gradient, from a recording made afresh there.
+
+    ``backward`` compiles that recording and replays it at ``x0``, so this is
+    the reference for a program replayed at a point other than its recorded
+    one; the finite-difference checks (here and criterion 01) are the
+    independent reference for the reverse walk itself.
+    """
     _, x, loss = record(loss_fn, x0)
     return loss.data, ad.backward(loss, x).data
 
@@ -558,9 +564,15 @@ class TestProgram:
             steps, outputs = recorded(tape), recorded_outputs(tape)
             assert len(program.steps) == len(steps) > 0
             assert all(got is want for got, want in zip(program.steps, steps))
-            held = [c for step in program.steps for c in step.consts if c is not None]
-            held += [a for a in program.watched if a is not None]
+            consts = [c for step in program.steps for c in step.consts if c is not None]
+            held = consts + [a for a in program.watched if a is not None]
             assert held and not any(np.shares_memory(a, out) for a in held for out in outputs)
+            # the tape keeps no VJP and so no kernel temporary (say, mse's difference):
+            # each array it reaches is a recorded output, a constant or a watched array
+            kept = {id(a) for a in outputs + consts + [t.data for t in tape._watched]}
+            reached = reachable_arrays(tape)
+            assert reached
+            assert [a.shape for a in reached if id(a) not in kept] == []
 
     def test_wrong_shape_rejected(self):
         w = ad.Tensor(np.ones((2, 3)))
@@ -647,9 +659,17 @@ class TestProgram:
         with pytest.raises(LineageError):
             ad.compile(ad.mse_loss(x, ad.Tensor([0.0])), x)  # recorded on no tape
         with ad.recording(tape):
-            loss = ad.mse_loss(x, ad.Tensor([0.0]))
-        with pytest.raises(LineageError):
-            ad.compile(loss, ad.Tensor([1.0]))  # not tracked by the tape
+            y = ad.reshape(x, (1,))
+            loss = ad.mse_loss(y, ad.Tensor([0.0]))
+        # not tracked by the tape; a recorded intermediate, whose program would
+        # ignore its input and replay the recorded values
+        for wrt in (ad.Tensor([1.0]), y):
+            for differentiate in (ad.compile, ad.backward):
+                with pytest.raises(LineageError, match="not watched"):
+                    differentiate(loss, wrt)
+        tape.watch(y)  # watching an intermediate does not make it an input
+        with pytest.raises(LineageError, match="not watched"):
+            ad.compile(loss, y)
 
 
 class TestFiniteDifference:

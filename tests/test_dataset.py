@@ -91,6 +91,20 @@ class TestPnmIO:
         assert back.shape == (4, 3, 3)
         assert np.all(back >= 0.0) and np.all(back <= 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, 7.0, -0.5], ids=["nan", "above", "below"])
+    def test_out_of_range_pixel_rejected(self, tmp_path, value):
+        # clipping would write NaN as 0 and 7.0 as 1.0
+        img = np.full((2, 3, 1), 0.5)
+        img[1, 2, 0] = value
+        p = tmp_path / "x.pgm"
+        with pytest.raises(ConfigError, match="x.pgm: pixel value outside"):
+            ds.write_pnm(p, img)
+        assert not p.exists()
+        img[1, 2, 0] = 1.0
+        img[0, 0, 0] = 0.0
+        ds.write_pnm(p, img)
+        assert ds.read_pnm(p)[[0, 1], [0, 2], 0].tolist() == [0.0, 1.0]
+
     def test_ascii_grayscale_with_comments(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P2\n# a comment\n2 2\n# another\n4\n0 1 2 4\n")
