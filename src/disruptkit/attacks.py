@@ -181,7 +181,7 @@ def build_gradient_provider(models: Sequence[TwoStageModel], objective: Objectiv
     for model_id, model in enumerate(models):
         counters = model.counters
         before = (counters.encode_calls, counters.generate_calls)
-        program = objective.bind(model, X).program
+        program = objective.bind(model, X)
         calls = (counters.encode_calls - before[0], counters.generate_calls - before[1])
         bound.append((model_id, model, program, calls))
 

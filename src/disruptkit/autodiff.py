@@ -17,24 +17,26 @@ calls the kernel once and records it on the active tape.
 
 Recording is opt-in: ops consult the active tape and compute plainly when none
 is active (evaluation runs so); ``recording(None)`` suspends an active tape. A
-tape tracks only the tensors it watches and the outputs of ops it recorded; an
-op with no tracked input is not recorded, and a backward pass computes no
-gradient for an untracked input. A layer's weights and bias are constants: a
-backward pass that meets a tracked one raises LineageError rather than return
-a zero gradient. A backward pass always differentiates the sum of the loss's
-elements, so one pass over a stack's per-image losses gives each image its own
-gradient. A backward pass replays the tape's records and leaves the tape as
-it is, so it can be differentiated repeatedly.
+tape watches one tensor, its input, and tracks it and the outputs of ops it
+recorded; an op with no tracked input is not recorded. A layer's weights and
+bias are constants: a backward pass that meets a tracked one raises
+LineageError rather than return a zero gradient. A backward pass always
+differentiates the sum of the loss's elements, so one pass over a stack's
+per-image losses gives each image its own gradient. A backward pass replays
+the tape's records and leaves the tape as it is, so it can be differentiated
+repeatedly.
 
 A tape records program steps and keeps no VJP: each recorded op is one
 ``_Step`` (its kernel, the slots of its tracked inputs, the arrays of its
 untracked ones). ``compile(loss, wrt)`` hands the steps, unchanged, to a
-``Program`` of the watched ``wrt``. ``run_program`` calls their kernels on a
-new input of the recorded shape, then walks the VJPs of those calls: the one
-reverse walk, which ``backward`` runs at ``wrt``'s own values. So a program
-returns the bits that recording and differentiating the loss at the new input
-would, without a tape, op checks or recomputed constants (weights, frozen
-references, terms computed off the tape).
+``Program`` of the watched ``wrt``. A program's kernel calls the steps'
+kernels on a new input of the recorded shape, and its VJP walks the VJPs of
+those calls: the one reverse walk. ``run_program`` is that kernel and its
+VJP seeded with ones, and ``backward`` is ``run_program`` at ``wrt``'s own
+values. So a program returns the bits that recording and differentiating the
+loss at the new input would, without a tape, op checks or recomputed
+constants (weights, frozen references, terms computed off the tape). Called
+on a tensor, a program is itself one op, so it nests in a larger recorded loss.
 """
 
 from __future__ import annotations
@@ -141,24 +143,22 @@ class _Step(NamedTuple):
 class Tape:
     """Ordered steps of primitive operations, in topological (creation) order.
 
-    Each tracked tensor (a watched leaf or a recorded output) has a slot: its
-    index in the order it became tracked. ``_slots`` maps the tensor itself
+    Each tracked tensor has a slot: the one watched tensor is slot 0, and
+    the output of record i is slot i + 1. ``_slots`` maps the tensor itself
     to it (a Tensor hashes by identity) and keeps it alive. A tape keeps no
-    VJP and no kernel temporary: ``backward`` and ``run_program`` call the
-    kernels again, so repeated calls on the same tape return identical
-    gradients.
+    VJP and no kernel temporary: a backward pass calls the kernels again.
     """
 
     def __init__(self):
         self._records: list[_Step] = []
         self._slots: dict[Tensor, int] = {}
-        self._watched: list[Tensor] = []
         self._ref = weakref.ref(self)
 
     def watch(self, t: Tensor) -> Tensor:
-        """Register a leaf tensor so it can be differentiated against."""
-        self._slots.setdefault(t, len(self._slots))
-        self._watched.append(t)
+        """Make ``t`` the tape's one input; LineageError for a second tensor or an output."""
+        if self._slots and self._slots.get(t) != 0:
+            raise LineageError("a tape watches one tensor, and not an output it recorded")
+        self._slots[t] = 0
         return t
 
     def _record(self, op, kernel, inputs, output):
@@ -458,86 +458,91 @@ def backward(loss: Tensor, wrt: Tensor) -> Tensor:
 
     Every loss element is seeded with exactly 1, so a scalar loss gets its
     plain gradient and per-image losses of a stack give each image its own.
-    It is one ``run_program`` of the loss compiled against ``wrt``, at
-    ``wrt``'s own values, so the tape is left as it is and can be
-    differentiated again. A tensor refers to its tape only weakly: the
-    caller keeps the tape alive.
+    It is ``run_program`` of the loss compiled against ``wrt`` at ``wrt``'s
+    own values, so the tape is left as it is. A tensor refers to its tape
+    only weakly: the caller keeps the tape alive.
     """
     return Tensor._wrap(run_program(compile(loss, wrt), wrt.data)[1])
 
 
 class Program(NamedTuple):
-    """A recorded loss as steps that ``run_program`` calls on a new input; see ``compile``."""
+    """A recorded loss as steps that run on a new input; see ``compile``.
 
-    steps: tuple[_Step, ...]
+    Called on a tensor, a program is one op: its kernel runs the steps, and
+    its VJP is their reverse walk, so it nests in a larger recorded loss.
+    """
+
+    steps: tuple[_Step, ...]  # the last one's output is the loss
     shape: tuple[int, ...]  # the input's recorded shape
-    wrt_slot: int
-    loss_slot: int
-    watched: tuple[np.ndarray | None, ...]  # per slot: another watched tensor's recorded array
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return _apply("program", functools.partial(_program_kernel, self), (x,))
 
 
 def compile(loss: Tensor, wrt: Tensor) -> Program:
-    """The recorded computation of ``loss`` as a program of the watched ``wrt``; see ``run_program``.
+    """The recorded computation of ``loss`` as a program of the watched ``wrt``.
 
-    The program's steps are the tape's own records. A record's untracked
-    inputs are constants whose arrays it holds: a layer's weights, a frozen
-    reference, a term computed off the tape (say, a conditioning term),
-    computed once, when the loss was recorded. A watched tensor other than
-    ``wrt`` keeps the array it had when recorded. Neither the tape nor the
-    program holds a recorded intermediate or a VJP, and the program holds
-    no tape, so the tape can be dropped once compiled. LineageError unless
-    ``loss`` was recorded on a live tape that watches ``wrt``.
+    The program's steps are the tape's own records, up to the loss's. A
+    record's untracked inputs are constants whose arrays it holds: a layer's
+    weights, a frozen reference, a term computed off the tape (say, a
+    conditioning term), computed once, when the loss was recorded. Neither
+    the tape nor the program holds a recorded intermediate or a VJP, and the
+    program holds no tape, so the tape can be dropped once compiled.
+    LineageError unless ``loss`` was recorded on a live tape that watches ``wrt``.
     """
     tape = loss._tape
     if tape is None:
         raise LineageError("loss tensor was not produced under a live tape")
-    slots = tape._slots
-    # a tensor the tape tracks but did not record is one it watches
-    if wrt not in slots or wrt._tape is tape:
+    if tape._slots.get(wrt) != 0:
         raise LineageError("requested tensor is not watched by the tape that recorded the loss")
-    watched: list[np.ndarray | None] = [None] * len(slots)
-    for t in tape._watched:
-        if t is not wrt:
-            watched[slots[t]] = t._data
-    return Program(tuple(tape._records), wrt.shape, slots[wrt], slots[loss], tuple(watched))
+    return Program(tuple(tape._records[:tape._slots[loss]]), wrt.shape)
 
 
-def run_program(program: Program, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``program``'s loss at ``x`` and the gradient of its element sum there.
+def _program_kernel(program: Program, x: np.ndarray):
+    """A program's loss at ``x``, and as its VJP the one reverse walk (the only VJP caller).
 
     ``x`` must have the recorded shape (ShapeError otherwise) and is used as
     given, as recording used the watched tensor's array. Each step's kernel
-    runs on ``x`` and the constants, in creation order, and returns its
-    output and the VJP of that call; one reverse walk over the steps then
-    calls those VJPs. So it returns the bits that recording the loss at
-    ``x`` would, and this is the only code that calls a VJP. Each step keeps
-    its recorded ``needs``, so a tracked layer parameter raises LineageError.
+    runs on ``x`` and the constants, in creation order; the walk calls the
+    VJPs of those calls with each step's recorded ``needs``, so a tracked
+    layer parameter raises LineageError.
     """
-    steps, shape, wrt_slot, loss_slot, watched = program
+    steps, shape = program
     if x.shape != shape:
         raise ShapeError(f"program input shape {x.shape} != recorded shape {shape}")
-    values = list(watched)
-    values[wrt_slot] = x
+    values = [x] + [None] * len(steps)
     vjps = []
     for _, kernel, slots, _, consts, out_slot in steps:
         out, vjp = kernel(*[c if s is None else values[s] for s, c in zip(slots, consts)])
         # dense, as Tensor._wrap makes it, so each kernel sees its recorded layout
         values[out_slot] = out if out.flags.c_contiguous else np.ascontiguousarray(out)
         vjps.append(vjp)
-    loss = values[loss_slot]
-    # the reverse walk: gradients accumulate in one list indexed by slot
-    grads: list[np.ndarray | None] = [None] * len(values)
-    grads[loss_slot] = np.ones(loss.shape, dtype=np.float64)
-    for step, vjp in zip(reversed(steps), reversed(vjps)):
-        g_out = grads[step.out]
-        if g_out is None:
-            continue
-        for slot, g in zip(step.slots, vjp(g_out, step.needs)):
-            if slot is not None:
-                acc = grads[slot]
-                grads[slot] = g if acc is None else acc + g
-    g = grads[wrt_slot]
-    return loss, np.zeros(shape) if g is None else g.reshape(shape)
+
+    def reverse_walk(g_loss, needs):
+        # gradients accumulate in one list indexed by slot; every step descends from slot 0
+        grads: list[np.ndarray | None] = [None] * len(values)
+        grads[-1] = g_loss
+        for step, vjp in zip(reversed(steps), reversed(vjps)):
+            g_out = grads[step.out]
+            if g_out is None:
+                continue
+            for slot, g in zip(step.slots, vjp(g_out, step.needs)):
+                if slot is not None:
+                    acc = grads[slot]
+                    grads[slot] = g if acc is None else acc + g
+        return (grads[0].reshape(shape),)
+
+    return values[-1], reverse_walk
+
+
+def run_program(program: Program, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``program``'s loss at ``x`` and the gradient of its element sum (a VJP seeded with ones).
+
+    These are the bits that recording the loss at ``x`` and ``backward``
+    would give, without a tape, op checks or recomputed constants.
+    """
+    loss, vjp = _program_kernel(program, x)
+    return loss, vjp(np.ones(loss.shape), (True,))[0]
 
 
 # ---------------------------------------------------------------------------

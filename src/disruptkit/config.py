@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ConfigError("output_dir must be a non-empty string")
         if not self.models:
             raise ConfigError("models must be a non-empty list")
+        if not self.objectives:
+            raise ConfigError("objectives must be a non-empty list")
         names = [m.name for m in self.models]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})

@@ -10,19 +10,20 @@
 Both are one rule with a different reference function f (E, or
 G(E(.), c) over the known attributes): ``_frozen_mse`` computes f(X) once,
 before any attack iteration, so the optimization target is fixed, and each
-image's loss is its MSE to that frozen reference. That reference pass is
-recorded: the recording of mse(f(x), f(X)) at x = X, compiled, is the bound
-loss's ``program``, which the attack replays at every iteration.
-``bind`` is the one way to evaluate an objective; ``per_model_image_loss``
-is expressed through it. A bound loss returns one value per image: for a stack
-``X`` of shape ``[..., H, W, C]`` its shape is ``X``'s leading axes, and for
-a single image it is a scalar.
+image's loss is its MSE to that frozen reference. ``bind`` is the one way to
+evaluate an objective, and a bound loss has one form: the recording of
+mse(f(x), f(X)) at x = X (the reference pass), compiled into an
+``ad.Program``. The attack replays it with ``ad.run_program``; called on a
+tensor, it is one op, recorded on the active tape, if any.
+``per_model_image_loss`` is expressed through it. A bound loss returns one
+value per image: for a stack ``X`` of shape ``[..., H, W, C]`` its shape is
+``X``'s leading axes, and for a single image it is a scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from .zoo import TwoStageModel
 class LatentAttackObjective:
     """Latent-distance objective; deliberately has no attribute field."""
 
-    def bind(self, model: TwoStageModel, X: Tensor) -> BoundLoss:
-        """Freeze E(X) now; return the per-image loss of the perturbed images."""
+    def bind(self, model: TwoStageModel, X: Tensor) -> ad.Program:
+        """Freeze E(X) now; return the per-image loss of the perturbed images, compiled."""
         return _frozen_mse(model.encode, X, len(model.latent_shape))
 
 
@@ -63,8 +64,8 @@ class ImageAttackObjective:
             raise ConfigError(f"no attack attributes configured for model {model.name!r}")
         return attrs
 
-    def bind(self, model: TwoStageModel, X: Tensor) -> BoundLoss:
-        """Freeze G(E(X), c) for every known attribute; return the per-image loss.
+    def bind(self, model: TwoStageModel, X: Tensor) -> ad.Program:
+        """Freeze G(E(X), c) for every known attribute; return the per-image loss, compiled.
 
         The K attributes sit on an axis after X's leading axes, so one encode
         and one generate serve all of them, and each image's loss is the mean
@@ -77,22 +78,8 @@ class ImageAttackObjective:
 Objective = LatentAttackObjective | ImageAttackObjective
 
 
-class BoundLoss(NamedTuple):
-    """A per-image loss with a frozen reference; a call records on the active tape, if any.
-
-    ``program`` is the same loss, recorded at the bound images (the
-    reference pass) and compiled; the attack runs it with ``ad.run_program``.
-    """
-
-    loss: Callable[[Tensor], Tensor]
-    program: ad.Program
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.loss(x)
-
-
-def _frozen_mse(f: Callable[[Tensor], Tensor], X: Tensor, rank: int) -> BoundLoss:
-    """Freeze ``f(X)``; bind x -> mse(f(x), f(X)) over the trailing ``rank`` axes.
+def _frozen_mse(f: Callable[[Tensor], Tensor], X: Tensor, rank: int) -> ad.Program:
+    """Freeze ``f(X)``; compile x -> mse(f(x), f(X)) over the trailing ``rank`` axes.
 
     The reference pass is recorded at a tensor over X's array, and its loss
     is compiled. The reference is a copy of the recorded output, so the
@@ -102,9 +89,7 @@ def _frozen_mse(f: Callable[[Tensor], Tensor], X: Tensor, rank: int) -> BoundLos
     x = tape.watch(Tensor._wrap(X.data, dense=False))
     with ad.recording(tape):
         out = f(x)
-        ref = Tensor._wrap(out.data.copy())
-        program = ad.compile(ad.mse_loss(out, ref, rank), x)
-    return BoundLoss(lambda x: ad.mse_loss(f(x), ref, rank), program)
+        return ad.compile(ad.mse_loss(out, Tensor._wrap(out.data.copy()), rank), x)
 
 
 def attribute_outputs(model: TwoStageModel, attrs: Sequence[Tensor],

@@ -23,9 +23,9 @@ from disruptkit.autodiff import Tensor
 from disruptkit.dataset import generate_dataset
 from disruptkit.ensembles import ENSEMBLE_KINDS, EnsembleStrategy
 from disruptkit.errors import ConfigError, InvariantError, ShapeError
-from disruptkit.objectives import BoundLoss, ImageAttackObjective, LatentAttackObjective
+from disruptkit.objectives import ImageAttackObjective, LatentAttackObjective
 
-from support import recorded, rel_err
+from support import rel_err
 
 NORMALIZED = EnsembleStrategy(kind="normalized_gradient_ensemble")
 
@@ -281,16 +281,12 @@ class TestRunAttack:
 
         class NanObjective:
             def bind(self, model, X):
+                # the latent program, nested as one op under a NaN scale
                 inner = LatentAttackObjective().bind(model, X)
-
-                def loss(x_pert):
-                    return ad.scale(inner(x_pert), float("nan"))
-
                 tape = ad.Tape()
                 x = tape.watch(Tensor(X.data))
                 with ad.recording(tape):
-                    program = ad.compile(loss(x), x)
-                return BoundLoss(loss, program)
+                    return ad.compile(ad.scale(inner(x), float("nan")), x)
 
         model = zoo.build_model("refiner", seed=2, name="refiner_nan")
         stack = Tensor(np.stack([x.data, source(10).data]))
@@ -369,37 +365,23 @@ class TestGradientProvider:
         with pytest.raises(ConfigError):
             build_gradient_provider([], LatentAttackObjective(), NORMALIZED, source(0))
 
-    # taped records per model of bind's reference pass, for (leat, image_attack):
-    # each layer act(W x + b) and the loss are one op each, and the
-    # conditioning term, computed from untracked attributes, is on no tape.
-    # Provider calls run the compiled records and record nothing.
+    # steps per model of bind's program, for (leat, image_attack): each layer
+    # act(W x + b) and the loss are one op each, and the conditioning term,
+    # computed from untracked attributes, is on no tape. Provider calls run
+    # the program and record nothing (test_compiles_once_and_keeps_no_tape).
     OPS_PER_CALL = {"vec_conditional": (4, 8), "refiner": (4, 16),
                     "swapper": (4, 8), "reenactor": (5, 10)}
 
     @pytest.mark.parametrize("archetype", zoo.ARCHETYPES)
-    def test_taped_op_count_per_provider_call(self, archetype, monkeypatch):
-        tapes = []
-
-        class CountingTape(ad.Tape):
-            def __init__(self):
-                super().__init__()
-                tapes.append(self)
-
-        monkeypatch.setattr(ad, "Tape", CountingTape)
+    def test_taped_op_count_per_provider_call(self, archetype):
         model = zoo.build_model(archetype, seed=15)
         X = stack_of([source(s) for s in range(3)])
         attrs = zoo.sample_attribute_set(model, 5, 0, [16]).known
-        objectives = (LatentAttackObjective(), ImageAttackObjective({model.name: attrs}))
-        counts = []
-        for objective in objectives:
-            tapes.clear()
-            provider = build_gradient_provider([model], objective, NORMALIZED, X)
-            provider(X)
-            provider(Tensor(0.5 * X.data))
-            assert len(tapes) == 1
-            counts.append(len(recorded(tapes[0])))
-        kinds = [sorted(rec.op for rec in recorded(t)) for t in tapes]
-        assert tuple(counts) == self.OPS_PER_CALL[archetype], kinds
+        programs = [objective.bind(model, X) for objective in (
+            LatentAttackObjective(), ImageAttackObjective({model.name: attrs}))]
+        kinds = [sorted(step.op for step in program.steps) for program in programs]
+        assert tuple(len(program.steps) for program in programs) == (
+            self.OPS_PER_CALL[archetype]), kinds
 
     @pytest.mark.parametrize("method", ["leat", "image_attack"])
     @pytest.mark.parametrize("archetype", zoo.ARCHETYPES)

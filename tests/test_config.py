@@ -204,14 +204,15 @@ VEC, REFINER, HELD = VALID.models
     ({"models": (HELD,)}, "holdout_model requires at least one other model"),
     ({"ensemble": EnsembleStrategy("loss_ensemble", (1.0, 1.0, 1.0))},
      "weights_omega has 3 entries for 2 attack-time models"),
+    ({"objectives": ()}, "objectives must be a non-empty list"),
     ({"objectives": ("pgd",)}, "objectives must be distinct entries"),
     ({"objectives": ("leat", "leat")}, "objectives must be distinct entries"),
     ({"scenarios": ("mauve_box",)}, "scenarios must be distinct entries"),
     ({"scenarios": ("white_box", "white_box")}, "scenarios must be distinct entries"),
 ], ids=["no-models", "duplicate-names", "model-shapes-differ", "dataset-shape",
         "gray-box-no-unknown", "black-box-no-holdout", "holdout-not-a-model",
-        "holdout-only-model", "weights-length", "unknown-objective", "repeated-objective",
-        "unknown-scenario", "repeated-scenario"])
+        "holdout-only-model", "weights-length", "no-objectives", "unknown-objective",
+        "repeated-objective", "unknown-scenario", "repeated-scenario"])
 def test_every_rule_holds_for_construct_and_replace(how, changes, match):
     """No config that breaks a cross-field rule exists, however it is made."""
     with pytest.raises(ConfigError, match=match):
