@@ -165,27 +165,24 @@ def aggregate_dsr(flags_by_model: Mapping[str, Sequence[bool]]) -> DsrSummary:
                       e_dsr=float(np.mean(stacked.all(axis=0))))
 
 
-def pca_project_latents(latents: Sequence) -> np.ndarray:
-    """Mean-centered projection of flattened latents onto the top two principal axes.
+def pca_project_latents(latents: np.ndarray | Tensor) -> np.ndarray:
+    """Mean-centered projection of latents ``[n, ...]`` onto the top two principal axes.
 
-    Component signs are fixed by making each axis's largest-magnitude
-    coordinate positive, so the projection is deterministic. All-identical
-    latents project to the origin. Returns an array of shape (n, 2).
+    Each latent is flattened. Component signs are fixed by making each
+    axis's largest-magnitude coordinate positive, so the projection is
+    deterministic. All-identical latents project to the origin. Returns an
+    array of shape (n, 2).
     """
     dims = 2
-    if len(latents) < 2:
+    data = _as_array(latents)
+    if len(data) < 2:
         raise ConfigError("need at least two latents to project")
-    flats = [_as_array(z).reshape(-1) for z in latents]
-    width = flats[0].size
-    for i, f in enumerate(flats):
-        if f.size != width:
-            raise ShapeError(f"latent {i} has {f.size} values, expected {width}")
-    data = np.stack(flats)
+    data = data.reshape(len(data), -1)
     centered = data - data.mean(axis=0)
     if not np.any(centered):
-        return np.zeros((len(flats), dims))
+        return np.zeros((len(data), dims))
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    axes = np.zeros((dims, width))
+    axes = np.zeros((dims, data.shape[1]))
     take = min(dims, vt.shape[0])
     axes[:take] = vt[:take]
     for r in range(take):

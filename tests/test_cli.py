@@ -18,7 +18,7 @@ from click.testing import CliRunner
 
 import disruptkit
 from disruptkit.cli import main
-from disruptkit.config import ExperimentConfig, load_config
+from disruptkit.config import ExperimentConfig, example_config, load_config
 from disruptkit.ensembles import ENSEMBLE_KINDS
 from disruptkit.harness import build_world, run_experiment
 from disruptkit.metrics import SurrogateEmbedder, id_distance, l2_image, perceptual_distance
@@ -591,6 +591,23 @@ def test_calibrate_reports_quantiles(runner, tmp_path):
             assert len(values) == len(payload["quantiles"])
             assert values == sorted(values)
             assert all(v >= 0.0 for v in values)
+
+
+def test_calibrate_reads_the_holdout_pool_of_a_leat_config(runner, tmp_path):
+    # a LEAT attack reads no pool, but a scenario makes build_models draw all of them,
+    # and calibrate reads every model's, the holdout's included
+    outs = {}
+    for label, overrides in (("leat", {"objectives": ["leat"], "scenarios": ["white_box"]}),
+                             ("full", {})):
+        cfg = tmp_path / f"{label}.json"
+        cfg.write_text(json.dumps({**example_config(), **overrides}))
+        outs[label] = tmp_path / f"{label}-calib.json"
+        result = runner.invoke(main, ["calibrate", "--config", str(cfg),
+                                      "--pairs", "5", "--out", str(outs[label])])
+        assert result.exit_code == 0, result.output
+    payload = json.loads(outs["leat"].read_text())
+    assert set(payload["models"]) == {"vec_a", "refiner_a", "held_out"}
+    assert outs["leat"].read_bytes() == outs["full"].read_bytes()
 
 
 def test_calibrate_matches_per_pair_oracle(runner, tmp_path):

@@ -191,18 +191,20 @@ def test_build_world_draws_what_the_config_reads(objectives, scenarios, attacked
     assert drawn == {"vec_a": attacked, "refiner_a": attacked, "held_out": held_out}
 
 
-def test_pools_drawn_on_read_keep_their_bits():
-    # a pool drawn on first read is the one its stream [attributes.seed, index] gives
+def test_pools_keep_their_bits_in_a_narrowed_config():
+    # each pool comes from its stream [attributes.seed, index], whichever pools a config draws
     config = parse_config(_raw())
-    lazy = build_models(replace(config, objectives=("leat",), scenarios=()))[1]
-    eager = build_models(config)[1]
-    assert dict(lazy) == {}
-    for name in ("held_out", "vec_a", "refiner_a"):  # out of config order
+    full = build_models(config)[1]
+    # vec_a held out: held_out is the second pool drawn here and the third in full
+    narrowed = build_models(replace(config, objectives=("image_attack",), scenarios=(),
+                                    holdout_model="vec_a"))[1]
+    assert list(narrowed) == ["refiner_a", "held_out"]
+    for name in narrowed:
         for side in ("known", "unknown"):
-            assert [c.data.tolist() for c in getattr(lazy[name], side)] == [
-                c.data.tolist() for c in getattr(eager[name], side)]
+            assert [c.data.tobytes() for c in getattr(narrowed[name], side)] == [
+                c.data.tobytes() for c in getattr(full[name], side)]
     with pytest.raises(KeyError):
-        lazy["nobody"]
+        narrowed["vec_a"]  # noqa: B018 - a pool not drawn is not a key
 
 
 def test_rows_match_per_pair_oracle():

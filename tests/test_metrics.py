@@ -254,29 +254,29 @@ class TestAggregateDsr:
 class TestPcaProjection:
     def test_identical_latents_project_to_origin(self):
         z = np.ones(6)
-        points = pca_project_latents([z, z.copy(), z.copy()])
+        points = pca_project_latents(np.stack([z, z.copy(), z.copy()]))
         assert np.array_equal(points, np.zeros((3, 2)))
 
     def test_axis_aligned_data_recovered(self):
         data = [np.array([2.0, 0.0]), np.array([-2.0, 0.0]),
                 np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
                 np.array([0.0, 0.5]), np.array([0.0, -0.5])]
-        points = pca_project_latents(data)
+        points = pca_project_latents(np.stack(data))
         # mean is zero; the sign convention makes both axes positive
         assert np.max(np.abs(points - np.stack(data))) < 1e-12
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(8)
         latents = [rng.normal(size=5) for _ in range(12)]
-        p1 = pca_project_latents(latents)
-        p2 = pca_project_latents([z.copy() for z in latents])
+        p1 = pca_project_latents(np.stack(latents))
+        p2 = pca_project_latents(np.stack([z.copy() for z in latents]))
         assert np.array_equal(p1, p2)
 
     def test_variance_ordering_against_direction_grid(self):
         rng = np.random.default_rng(9)
         latents = [rng.normal(size=5) * np.array([3.0, 2.0, 1.0, 0.5, 0.1])
                    for _ in range(40)]
-        points = pca_project_latents(latents)
+        points = pca_project_latents(np.stack(latents))
         var1 = points[:, 0].var()
         var2 = points[:, 1].var()
         assert var1 >= var2 - 1e-12
@@ -301,17 +301,15 @@ class TestPcaProjection:
         from disruptkit.autodiff import Tensor
 
         rng = np.random.default_rng(10)
-        latents = [Tensor(rng.normal(size=(3, 2, 2))) for _ in range(6)]
-        points = pca_project_latents(latents)
+        latents = rng.normal(size=(6, 3, 2, 2))
+        points = pca_project_latents(Tensor(latents))
         assert points.shape == (6, 2)
+        # each [3, 2, 2] latent is flattened, so the points are those of the [6, 12] array
+        assert np.array_equal(points, pca_project_latents(latents.reshape(6, 12)))
 
     def test_too_few_latents_rejected(self):
         with pytest.raises(ConfigError):
-            pca_project_latents([np.ones(3)])
-
-    def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ShapeError):
-            pca_project_latents([np.ones(3), np.ones(4)])
+            pca_project_latents(np.ones((1, 3)))
 
 
 class TestSeparationStatistic:
