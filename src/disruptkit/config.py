@@ -102,6 +102,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{where} must be >= {minimum}, got {value}")
         if not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
+        if not self.attack.random_init:
+            # AttackConfig allows False for run_attack's init_eta, which an experiment never passes
+            raise ConfigError("attack.random_init must be true: from a zero start every"
+                              " gradient is 0, so the attack would return eta = 0")
         if not self.models:
             raise ConfigError("models must be a non-empty list")
         if not self.objectives:
@@ -256,9 +260,7 @@ _ATTACK = {
     "epsilon": _number,
     "step_a": _number,
     "iterations": _integer,
-    # only true: from a zero start every loss is a squared distance to its
-    # own reference, so every gradient is 0 and sign(0) never moves eta
-    "random_init": _one_of((True,)),
+    "random_init": _one_of((True, False)),
     "seed": _integer,
 }
 _ENSEMBLE = {"kind": _text, "weights_omega": _optional(_list(_number))}

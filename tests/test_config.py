@@ -209,10 +209,11 @@ VEC, REFINER, HELD = VALID.models
     ({"objectives": ("leat", "leat")}, "objectives must be distinct entries"),
     ({"scenarios": ("mauve_box",)}, "scenarios must be distinct entries"),
     ({"scenarios": ("white_box", "white_box")}, "scenarios must be distinct entries"),
+    ({"attack": replace(VALID.attack, random_init=False)}, "attack.random_init must be true"),
 ], ids=["no-models", "duplicate-names", "model-shapes-differ", "dataset-shape",
         "gray-box-no-unknown", "black-box-no-holdout", "holdout-not-a-model",
         "holdout-only-model", "weights-length", "no-objectives", "unknown-objective",
-        "repeated-objective", "unknown-scenario", "repeated-scenario"])
+        "repeated-objective", "unknown-scenario", "repeated-scenario", "random-init-false"])
 def test_every_rule_holds_for_construct_and_replace(how, changes, match):
     """No config that breaks a cross-field rule exists, however it is made."""
     with pytest.raises(ConfigError, match=match):
